@@ -2,19 +2,27 @@
 //! under `results/figures/`.
 //!
 //! Usage: `cargo run --release -p sms-bench --bin run_experiments [ids...]`
-//! with optional figure ids (e.g. `fig4 fig5`) to run a subset.
+//! with optional experiment ids (e.g. `fig4 fig5`) to run a subset; an id
+//! that names no experiment exits 2 listing the valid ones.
 //!
 //! A failing experiment does not abort the batch: its error is reported
 //! and the remaining experiments still run. The process exits nonzero if
 //! any experiment failed.
 
-use sms_bench::ctx::{Ctx, Report};
-use sms_bench::experiments as ex;
+use sms_bench::ctx::Ctx;
+use sms_bench::experiments::ALL;
 use sms_sim::error::SimError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
+    if let Some(unknown) = args.iter().find(|a| ALL.iter().all(|(id, _)| id != a)) {
+        let valid: Vec<&str> = ALL.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "error: unknown experiment id `{unknown}`; valid ids: {}",
+            valid.join(", ")
+        );
+        std::process::exit(2);
+    }
     let mut ctx = Ctx::from_env();
     eprintln!(
         "budget: {} instructions, threads: {}, results: {}",
@@ -24,42 +32,17 @@ fn main() {
     );
 
     let mut failures: Vec<(&str, SimError)> = Vec::new();
-
-    if want("table1") {
-        ex::table1::run(&ctx).emit(&ctx);
-    }
-
-    {
-        let mut attempt = |id: &'static str, run: fn(&mut Ctx) -> Result<Report, SimError>| {
-            if !want(id) {
-                return;
+    for &(id, run) in ALL {
+        if !args.is_empty() && !args.iter().any(|a| a == id) {
+            continue;
+        }
+        match run(&mut ctx) {
+            Ok(report) => report.emit(&ctx),
+            Err(e) => {
+                eprintln!("experiment {id} failed: {e}");
+                failures.push((id, e));
             }
-            match run(&mut ctx) {
-                Ok(report) => report.emit(&ctx),
-                Err(e) => {
-                    eprintln!("experiment {id} failed: {e}");
-                    failures.push((id, e));
-                }
-            }
-        };
-
-        attempt("fig3", ex::fig3::run);
-        attempt("fig4", ex::fig4::run);
-        attempt("fig5", ex::fig5::run);
-        attempt("fig6", ex::fig6::run);
-        attempt("fig7", ex::fig7::run);
-        attempt("fig8", ex::fig8::run);
-        attempt("fig9", ex::fig9::run);
-        attempt("fig10", ex::fig10::run);
-        attempt("fig11", ex::fig11::run);
-        attempt("fig12", ex::fig12::run);
-        attempt("ext_64core", ex::ext_64core::run);
-        attempt("ext_multithreaded", ex::ext_multithreaded::run);
-        attempt("ablation_quantum", ex::ablations::quantum);
-        attempt("ablation_svr", ex::ablations::svr);
-        attempt("ablation_replacement", ex::ablations::replacement);
-        attempt("ablation_rowbuffer", ex::ablations::row_buffer);
-        attempt("ablation_krr", ex::ablations::krr);
+        }
     }
 
     if !failures.is_empty() {

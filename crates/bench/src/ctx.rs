@@ -47,8 +47,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// Default results directory: `results/` under the nearest ancestor that
 /// is a cargo *workspace* root (identified by a `Cargo.toml` containing a
 /// `[workspace]` table), falling back to the current directory. This
-/// keeps `cargo bench` targets — which run with the *package* directory
-/// as CWD — sharing one cache with the `run_experiments` binary.
+/// keeps `cargo test` — which runs with the *package* directory as CWD —
+/// sharing one cache with the `run_experiments` binary.
 fn default_results_dir() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {

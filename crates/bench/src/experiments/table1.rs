@@ -3,12 +3,18 @@
 //! simulation required.
 
 use sms_core::scaling::{scale_table, MemBwScaling};
+use sms_sim::error::SimError;
 
 use crate::ctx::{Ctx, Report};
 use crate::table::render;
 
 /// Regenerate Table I (both DRAM scaling orders) and the Table II summary.
-pub fn run(ctx: &Ctx) -> Report {
+///
+/// # Errors
+///
+/// Never fails; the signature matches the simulating experiments so all
+/// of them sit in one table ([`super::ALL`]).
+pub fn run(ctx: &mut Ctx) -> Result<Report, SimError> {
     let mut body = String::new();
 
     body.push_str("Target system (Table II):\n");
@@ -40,9 +46,9 @@ pub fn run(ctx: &Ctx) -> Report {
         body.push('\n');
     }
 
-    Report {
+    Ok(Report {
         id: "table1",
         title: "Scale-model construction through Proportional Resource Scaling",
         body,
-    }
+    })
 }

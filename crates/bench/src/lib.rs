@@ -25,9 +25,9 @@
 //! failpoints, armed via the `SMS_FAULTS` environment variable and free
 //! when it is unset.
 //!
-//! Run individual figures via `cargo bench -p sms-bench --bench fig4_homogeneous`
-//! (plain harnesses that print the paper's series), or everything via the
-//! `run_experiments` binary. The `SMS_BUDGET` environment variable sets
+//! Run individual figures via `cargo run --release -p sms-bench --bin
+//! run_experiments -- fig4` (ids are listed in [`experiments::ALL`]), or
+//! everything by passing no id. The `SMS_BUDGET` environment variable sets
 //! the per-instance instruction budget (default 500k).
 
 #![forbid(unsafe_code)]

@@ -19,10 +19,10 @@ fn table1_runs_without_simulation() {
     let _guard = ENV_LOCK.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("sms-smoke-{}", std::process::id()));
     std::env::set_var("SMS_RESULTS", &dir);
-    let ctx = sms_bench::Ctx::from_env();
+    let mut ctx = sms_bench::Ctx::from_env();
     std::env::remove_var("SMS_RESULTS");
 
-    let report = sms_bench::experiments::table1::run(&ctx);
+    let report = sms_bench::experiments::table1::run(&mut ctx).unwrap();
     assert_eq!(report.id, "table1");
     assert!(report.body.contains("32 MB: 32 slices"));
     assert!(report.body.contains("MC-first"));
@@ -47,6 +47,46 @@ fn report_emit_writes_figure_file() {
     let written = std::fs::read_to_string(dir.join("figures/smoke.txt")).unwrap();
     assert!(written.contains("hello"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn experiment_ids_are_unique_and_match_the_committed_figures() {
+    let mut ids: Vec<&str> = sms_bench::experiments::ALL
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    ids.sort_unstable();
+    assert!(
+        ids.windows(2).all(|w| w[0] != w[1]),
+        "duplicate id: {ids:?}"
+    );
+
+    let figures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/figures");
+    let mut stems: Vec<String> = std::fs::read_dir(&figures)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_owned())
+        .collect();
+    stems.sort_unstable();
+    assert_eq!(ids, stems);
+}
+
+#[test]
+fn unknown_experiment_id_exits_2_naming_the_valid_ids() {
+    // The id check comes before the context is built, so this touches
+    // no results directory.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+        .args(["fig4", "fig04"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run before the error");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("`fig04`"), "{err}");
+    for (id, _) in sms_bench::experiments::ALL {
+        assert!(err.contains(id), "error does not list `{id}`: {err}");
+    }
 }
 
 #[test]

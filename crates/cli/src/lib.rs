@@ -11,8 +11,6 @@
 //! sms predict   --bench lbm_r [--target-cores 32] [--budget N] [--seed S]
 //! sms trace     --bench lbm_r --out trace.smst [--instructions N] [--seed S]
 //! sms bench-table                                          # characterize the suite
-//! sms bench sim [--cores 8] [--threads-list 1,2,8] [--reps 3] [--out BENCH_sim.json]
-//! sms bench diff [--against REV|FILE] [--threshold X]      # gate on the perf ledger
 //! sms sweep     --bench lbm_r[,mcf_r,...] [--target-cores 32] [--threads T] [--sim-threads K] [--results DIR] [--timelines] [--profile] [--spans]
 //! sms explore   --spec machine.toml [--label L] [--no-prune] [--results DIR] [--threads T] [--profile]
 //! sms machine show --spec machine.toml [--json]             # resolve & render a machine spec
@@ -52,32 +50,10 @@ use sms_ml::fit::CurveModel;
 use sms_serve::{models_dir, serve, ModelRegistry, ServerConfig, MAX_DEADLINE_MS, MIN_DEADLINE_MS};
 use sms_sim::config::SystemConfig;
 use sms_sim::system::{MulticoreSystem, RunSpec};
-use sms_sim::{EpochSample, RecordingSink, SimResult, SimTimeline};
+use sms_sim::{RecordingSink, SimTimeline};
 use sms_workloads::mix::MixSpec;
 use sms_workloads::spec::{by_name, suite};
 use sms_workloads::trace_io::RecordedTrace;
-
-/// Schema version of the `BENCH_sim.json` artifact written by
-/// `sms bench sim`. Bump on any key change.
-///
-/// v2 adds `git_rev` and a `trajectory` array: re-running against an
-/// existing artifact folds its previous measurement into the trajectory
-/// (oldest first, capped at [`SIM_BENCH_TRAJECTORY_CAP`]), so a committed
-/// `BENCH_sim.json` accumulates a speed history across revisions. v1
-/// files (no trajectory) still load: they fold in as one trajectory
-/// entry with `git_rev` `"unknown"`.
-pub const SIM_BENCH_SCHEMA_VERSION: u32 = 2;
-
-/// Most trajectory entries a `BENCH_sim.json` retains (oldest dropped
-/// first) so the committed artifact cannot grow without bound.
-pub const SIM_BENCH_TRAJECTORY_CAP: usize = 30;
-
-/// Schema version of one line of the append-only `sms bench sim`
-/// performance ledger at `<results>/cache/bench/history.jsonl`. Each
-/// line is a host-fingerprinted record (cpu count, target triple, git
-/// revision) of one benchmark invocation; `sms bench diff` compares the
-/// newest record against a baseline and gates CI on regressions.
-pub const BENCH_HISTORY_SCHEMA_VERSION: u32 = 1;
 
 /// A parsed command line: subcommand plus `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,10 +88,6 @@ pub enum CliError {
     /// `sms lint` found violations; the payload is the rendered report
     /// (printed to stdout by the binary, which then exits non-zero).
     Lint(String),
-    /// `sms bench diff` found a performance regression; the payload is
-    /// the rendered comparison (the binary prints it and exits non-zero
-    /// so CI can gate on the perf ledger).
-    Regression(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -143,7 +115,6 @@ impl std::fmt::Display for CliError {
             Self::Spec(e) => write!(f, "{e}"),
             Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::Lint(report) => write!(f, "{report}"),
-            Self::Regression(report) => write!(f, "{report}"),
         }
     }
 }
@@ -159,12 +130,13 @@ impl Args {
     pub fn parse(raw: &[String]) -> Result<Self, CliError> {
         let mut command = raw.first().ok_or(CliError::NoCommand)?.clone();
         let mut i = 1;
-        // Two-word subcommands ("bench sim"): merge the next bare word
-        // when the combination names a known command.
+        // Two-word subcommands ("machine show"): merge the next bare word
+        // unless the first word is a command by itself, so a pair that
+        // names nothing ("machine frob") is reported whole as an unknown
+        // command instead of as a stray positional.
         if let Some(sub) = raw.get(1).filter(|s| !s.starts_with("--")) {
-            let two = format!("{command} {sub}");
-            if COMMANDS.contains(&two.as_str()) {
-                command = two;
+            if !COMMANDS.contains(&command.as_str()) {
+                command = format!("{command} {sub}");
                 i = 2;
             }
         }
@@ -237,8 +209,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "predict" => cmd_predict(args),
         "trace" => cmd_trace(args),
         "bench-table" => cmd_bench_table(args),
-        "bench sim" => cmd_bench_sim(args),
-        "bench diff" => cmd_bench_diff(args),
         "sweep" => cmd_sweep(args),
         "explore" => cmd_explore(args),
         "machine show" => cmd_machine_show(args),
@@ -266,8 +236,6 @@ pub const COMMANDS: &[&str] = &[
     "predict",
     "trace",
     "bench-table",
-    "bench sim",
-    "bench diff",
     "sweep",
     "explore",
     "machine show",
@@ -326,34 +294,6 @@ USAGE:
 
   sms bench-table [--budget N]
       Characterize all 29 benchmarks on the single-core scale model.
-
-  sms bench sim [--cores N] [--budget N] [--reps R] [--threads-list T1,T2,...]
-                [--quantum Q] [--seed S] [--out FILE] [--check-speedup X]
-                [--results DIR]
-      Benchmark the windowed simulator's intra-run parallelism: run the
-      same N-core mix at each sim-thread count, verify every parallel
-      run is bit-identical to the 1-thread baseline (result and epoch
-      stream), and write p50/p95 wall times plus speedup-vs-1-thread to
-      FILE (default BENCH_sim.json, schema-versioned, sorted keys; an
-      existing artifact's measurement folds into the file's trajectory
-      array so a committed copy accumulates a speed history). Every
-      invocation also appends a host-fingerprinted record (cpu count,
-      target triple, git rev) to the append-only performance ledger at
-      DIR/cache/bench/history.jsonl for `sms bench diff`. With
-      --check-speedup X, exit non-zero unless the best parallel speedup
-      reaches X (use a lenient X on small machines or CI).
-
-  sms bench diff [--against REV|FILE] [--threshold X] [--results DIR]
-      Compare the newest record of the DIR/cache/bench/history.jsonl
-      performance ledger against a baseline: by default the most recent
-      earlier record from the same host fingerprint (falling back to
-      the immediately preceding record); with --against, the newest
-      earlier record whose git revision starts with REV, or a JSON FILE
-      carrying an `entries` array (a ledger record or a committed
-      BENCH_sim.json). Exits non-zero when any sim-thread count's p50
-      wall time regresses by more than X (default 0.15, i.e. 15%) plus
-      the measured rep-to-rep noise ((p95-p50)/p50), so CI can gate on
-      it without flaking on shared runners.
 
   sms sweep --bench NAME[,NAME...] [--target-cores N] [--budget N] [--seed S]
             [--threads T] [--sim-threads K] [--results DIR] [--label L]
@@ -807,539 +747,6 @@ fn cmd_bench_table(args: &Args) -> Result<String, CliError> {
             c.label, c.ipc, c.llc_mpki, c.bandwidth_gbps
         ));
     }
-    Ok(out)
-}
-
-/// One measured thread-count in a `sms bench sim` run.
-struct SimBenchRow {
-    sim_threads: u32,
-    p50: f64,
-    p95: f64,
-    speedup: f64,
-}
-
-fn cmd_bench_sim(args: &Args) -> Result<String, CliError> {
-    let cores = args.get_u32("cores", 8)?;
-    if cores == 0 || !cores.is_power_of_two() || cores > 256 {
-        return Err(CliError::BadValue("cores".into(), cores.to_string()));
-    }
-    let budget = args.get_u64("budget", 200_000)?;
-    let reps = args.get_usize("reps", 3)?.max(1);
-    let quantum = args.get_u64("quantum", 10_000)?;
-    if quantum == 0 {
-        return Err(CliError::BadValue("quantum".into(), quantum.to_string()));
-    }
-    let seed = args.get_u64("seed", 43)?;
-    let out_path = args
-        .options
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    let mut threads_list: Vec<u32> = match args.options.get("threads-list") {
-        None => vec![1, 2, 8],
-        Some(v) => v
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&t| t >= 1)
-                    .ok_or_else(|| CliError::BadValue("threads-list".into(), v.clone()))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    // The single-threaded run is both the speedup baseline and the
-    // bit-identity reference, so it is always measured first.
-    if threads_list.first() != Some(&1) {
-        threads_list.retain(|&t| t != 1);
-        threads_list.insert(0, 1);
-    }
-    let check_speedup = args
-        .options
-        .get("check-speedup")
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| CliError::BadValue("check-speedup".into(), v.clone()))
-        })
-        .transpose()?;
-
-    // A heterogeneous mix (the suite cycled over the cores) so the deferred
-    // uncore traffic that the merge must serialize is actually varied.
-    let profiles = suite();
-    let benchmarks: Vec<String> = (0..cores as usize)
-        .map(|i| profiles[i % profiles.len()].name.to_owned())
-        .collect();
-    let mix = MixSpec { benchmarks, seed };
-    let mut machine = target_config(cores);
-    machine.sync_quantum = quantum;
-    let spec = RunSpec::with_default_warmup(budget);
-
-    // Bit-identity reference from the 1-thread run: the result with the
-    // wall-clock field zeroed (host time legitimately differs per run),
-    // plus the full epoch-sample stream.
-    let mut reference: Option<(SimResult, Vec<EpochSample>)> = None;
-    let mut rows: Vec<SimBenchRow> = Vec::with_capacity(threads_list.len());
-    for &t in &threads_list {
-        machine.sim_threads = t;
-        let mut walls: Vec<f64> = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let mut sys = MulticoreSystem::new(machine.clone(), mix.sources())
-                .map_err(|e| CliError::Sim(e.to_string()))?;
-            let mut sink = RecordingSink::new();
-            let mut r = sys
-                .run_with_sink(spec, &mut sink)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
-            walls.push(r.host_seconds);
-            if rep == 0 {
-                r.host_seconds = 0.0;
-                let samples = sink.into_samples();
-                match &reference {
-                    None => reference = Some((r, samples)),
-                    Some((r0, s0)) => {
-                        if r != *r0 || samples != *s0 {
-                            return Err(CliError::Sim(format!(
-                                "parallel run at {t} sim threads is not bit-identical \
-                                 to the sequential baseline"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        let p = sms_bench::telemetry::percentiles(&walls)
-            .ok_or_else(|| CliError::Sim("no wall-clock samples collected".to_owned()))?;
-        let base_p50 = rows.first().map_or(p.p50, |r: &SimBenchRow| r.p50);
-        rows.push(SimBenchRow {
-            sim_threads: t,
-            p50: p.p50,
-            p95: p.p95,
-            speedup: base_p50 / p.p50.max(1e-12),
-        });
-    }
-
-    // Hand-rendered JSON with alphabetically sorted keys at every level.
-    // Re-running against an existing artifact folds its measurement into
-    // the trajectory (oldest first, capped), so a committed BENCH_sim.json
-    // accumulates a speed history; v1 files fold in with git_rev "unknown".
-    let rev = git_rev();
-    let mut trajectory: Vec<String> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(&out_path) {
-        if let Ok(prev) = serde_json::from_str::<serde_json::Value>(&text) {
-            if let Some(items) = prev.get("trajectory").and_then(|t| t.as_array()) {
-                for item in items {
-                    if let Ok(s) = serde_json::to_string(item) {
-                        trajectory.push(s);
-                    }
-                }
-            }
-            if let Some(e) = prev.get("entries") {
-                let prev_rev = prev
-                    .get("git_rev")
-                    .and_then(|r| r.as_str())
-                    .unwrap_or("unknown");
-                let mut folded = serde_json::Map::new();
-                folded.insert("entries".to_owned(), e.clone());
-                folded.insert(
-                    "git_rev".to_owned(),
-                    serde_json::Value::String(prev_rev.to_owned()),
-                );
-                if let Ok(s) = serde_json::to_string(&serde_json::Value::Object(folded)) {
-                    trajectory.push(s);
-                }
-            }
-        }
-    }
-    if trajectory.len() > SIM_BENCH_TRAJECTORY_CAP {
-        trajectory.drain(..trajectory.len() - SIM_BENCH_TRAJECTORY_CAP);
-    }
-    let entries = rows
-        .iter()
-        .map(|r| format!("    {}", row_json(r)))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let trajectory_block = if trajectory.is_empty() {
-        "[]".to_owned()
-    } else {
-        format!(
-            "[\n{}\n  ]",
-            trajectory
-                .iter()
-                .map(|s| format!("    {s}"))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        )
-    };
-    let json = format!(
-        "{{\n  \"budget\": {budget},\n  \"cores\": {cores},\n  \"entries\": [\n{entries}\n  ],\n  \
-         \"git_rev\": \"{rev}\",\n  \"mix\": \"{}\",\n  \"quantum\": {quantum},\n  \
-         \"reps\": {reps},\n  \"schema_version\": {SIM_BENCH_SCHEMA_VERSION},\n  \
-         \"seed\": {seed},\n  \"trajectory\": {trajectory_block}\n}}\n",
-        mix_label(&mix)
-    );
-    std::fs::write(&out_path, &json).map_err(|e| CliError::Io(e.to_string()))?;
-
-    // Performance ledger: append a host-fingerprinted record for
-    // `sms bench diff`. Best effort — a benchmark must not die because
-    // the ledger directory is unwritable — but the outcome is reported.
-    let history = bench_history_path(&results_dir(args));
-    let ledger_note = match append_history_line(
-        &history,
-        &history_record_json(
-            &rev,
-            &BenchRun {
-                cores,
-                budget,
-                quantum,
-                reps,
-                seed,
-            },
-            &rows,
-        ),
-    ) {
-        Ok(()) => format!(
-            "ledger: appended to {} (compare with `sms bench diff`)\n",
-            history.display()
-        ),
-        Err(e) => format!("ledger: NOT appended ({e})\n"),
-    };
-
-    let mut out = format!(
-        "bench sim: {cores} cores, budget {budget}, quantum {quantum}, {reps} reps\n\
-         {:>11} {:>12} {:>12} {:>9}\n",
-        "sim_threads", "p50 (s)", "p95 (s)", "speedup"
-    );
-    for r in &rows {
-        out.push_str(&format!(
-            "{:>11} {:>12.6} {:>12.6} {:>8.2}x\n",
-            r.sim_threads, r.p50, r.p95, r.speedup
-        ));
-    }
-    out.push_str(&format!(
-        "bit-identity: OK across all thread counts\nwritten: {out_path}\n{ledger_note}"
-    ));
-    if let Some(min) = check_speedup {
-        let best = rows
-            .iter()
-            .filter(|r| r.sim_threads > 1)
-            .map(|r| r.speedup)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best.is_finite() && best < min {
-            return Err(CliError::Sim(format!(
-                "best parallel speedup {best:.2}x is below the --check-speedup floor {min:.2}x"
-            )));
-        }
-    }
-    Ok(out)
-}
-
-/// The non-row parameters of one `sms bench sim` invocation, as
-/// recorded in the performance ledger.
-struct BenchRun {
-    cores: u32,
-    budget: u64,
-    quantum: u64,
-    reps: usize,
-    seed: u64,
-}
-
-/// One measured row as a compact sorted-key JSON object (shared by the
-/// `BENCH_sim.json` artifact and the ledger).
-fn row_json(r: &SimBenchRow) -> String {
-    format!(
-        "{{\"p50_wall_seconds\":{:.6},\"p95_wall_seconds\":{:.6},\
-         \"sim_threads\":{},\"speedup_vs_1_thread\":{:.4}}}",
-        r.p50, r.p95, r.sim_threads, r.speedup
-    )
-}
-
-/// The current git revision (12-hex short form): `GITHUB_SHA` when CI
-/// provides it, otherwise `git rev-parse`; `"unknown"` outside a
-/// repository.
-fn git_rev() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        let trimmed = sha.trim().to_owned();
-        if trimmed.len() >= 12 && trimmed.is_ascii() {
-            return trimmed[..12].to_owned();
-        }
-        if !trimmed.is_empty() {
-            return trimmed;
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Host fingerprint for ledger records: logical cpu count plus a target
-/// approximation (`arch-os`). `sms bench diff` auto-selects baselines
-/// only from records with a matching fingerprint, so numbers from a
-/// laptop never gate a CI runner.
-fn host_fingerprint() -> (usize, String) {
-    let cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    (
-        cpus,
-        format!("{}-{}", std::env::consts::ARCH, std::env::consts::OS),
-    )
-}
-
-/// The append-only performance ledger under a results directory.
-fn bench_history_path(results: &str) -> std::path::PathBuf {
-    Path::new(results)
-        .join("cache")
-        .join("bench")
-        .join("history.jsonl")
-}
-
-/// Append one ledger line, fsync'd — the journal idiom: a crash may
-/// lose the trailing line but never corrupts earlier ones.
-fn append_history_line(path: &Path, line: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(line.as_bytes())?;
-    f.write_all(b"\n")?;
-    f.sync_data()
-}
-
-/// One ledger record as a single sorted-key JSON line.
-fn history_record_json(rev: &str, run: &BenchRun, rows: &[SimBenchRow]) -> String {
-    let (host_cpus, target) = host_fingerprint();
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let entries = rows.iter().map(row_json).collect::<Vec<_>>().join(",");
-    format!(
-        "{{\"budget\":{},\"cores\":{},\"entries\":[{entries}],\"git_rev\":\"{rev}\",\
-         \"host_cpus\":{host_cpus},\"quantum\":{},\"reps\":{},\
-         \"schema_version\":{BENCH_HISTORY_SCHEMA_VERSION},\"seed\":{},\
-         \"target\":\"{target}\",\"unix_ms\":{unix_ms}}}",
-        run.budget, run.cores, run.quantum, run.reps, run.seed
-    )
-}
-
-/// One parsed ledger record (or an `--against FILE` baseline).
-#[derive(Clone)]
-struct HistoryRecord {
-    git_rev: String,
-    host_cpus: u64,
-    target: String,
-    cores: u64,
-    entries: Vec<HistoryEntry>,
-}
-
-/// One measured thread count inside a [`HistoryRecord`].
-#[derive(Clone)]
-struct HistoryEntry {
-    sim_threads: u64,
-    p50: f64,
-    p95: f64,
-}
-
-fn parse_history_entries(v: &serde_json::Value) -> Vec<HistoryEntry> {
-    v.get("entries")
-        .and_then(|e| e.as_array())
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|item| {
-                    Some(HistoryEntry {
-                        sim_threads: item.get("sim_threads")?.as_u64()?,
-                        p50: item.get("p50_wall_seconds")?.as_f64()?,
-                        p95: item.get("p95_wall_seconds")?.as_f64()?,
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Parse a ledger line or an `--against` file. Accepts anything with a
-/// well-formed `entries` array — a history record, a v1 or v2
-/// `BENCH_sim.json` — so a committed artifact works as a baseline.
-fn parse_history_record(v: &serde_json::Value) -> Option<HistoryRecord> {
-    let entries = parse_history_entries(v);
-    if entries.is_empty() {
-        return None;
-    }
-    Some(HistoryRecord {
-        git_rev: v
-            .get("git_rev")
-            .and_then(|r| r.as_str())
-            .unwrap_or("unknown")
-            .to_owned(),
-        host_cpus: v
-            .get("host_cpus")
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0),
-        target: v
-            .get("target")
-            .and_then(|t| t.as_str())
-            .unwrap_or("")
-            .to_owned(),
-        cores: v
-            .get("cores")
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0),
-        entries,
-    })
-}
-
-fn cmd_bench_diff(args: &Args) -> Result<String, CliError> {
-    let threshold = args.get_f64("threshold", 0.15)?;
-    if !(0.0..10.0).contains(&threshold) {
-        return Err(CliError::BadValue(
-            "threshold".into(),
-            threshold.to_string(),
-        ));
-    }
-    let history = bench_history_path(&results_dir(args));
-    let text = std::fs::read_to_string(&history).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            CliError::Io(format!(
-                "no performance ledger at {} — run `sms bench sim` first",
-                history.display()
-            ))
-        } else {
-            CliError::Io(e.to_string())
-        }
-    })?;
-    // Unreadable lines (a crash mid-append leaves at most one, at the
-    // tail) are skipped, exactly like plan-journal replay.
-    let records: Vec<HistoryRecord> = text
-        .lines()
-        .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
-        .filter_map(|v| parse_history_record(&v))
-        .collect();
-    let current = records.last().ok_or_else(|| {
-        CliError::Io(format!(
-            "performance ledger {} has no readable records — run `sms bench sim` first",
-            history.display()
-        ))
-    })?;
-    let earlier = &records[..records.len() - 1];
-
-    let (baseline, baseline_label): (HistoryRecord, String) = match args.options.get("against") {
-        Some(v) if Path::new(v).is_file() => {
-            let text = std::fs::read_to_string(v).map_err(|e| CliError::Io(e.to_string()))?;
-            let value: serde_json::Value = serde_json::from_str(&text)
-                .map_err(|e| CliError::Io(format!("cannot parse --against file {v}: {e}")))?;
-            let rec = parse_history_record(&value).ok_or_else(|| {
-                CliError::Io(format!("--against file {v} has no readable entries array"))
-            })?;
-            (rec, format!("file {v}"))
-        }
-        Some(rev) => {
-            let rec = earlier
-                .iter()
-                .rev()
-                .find(|r| r.git_rev.starts_with(rev.as_str()))
-                .ok_or_else(|| {
-                    CliError::Io(format!(
-                        "no earlier ledger record matches revision `{rev}` \
-                         (and `{rev}` is not a readable file)"
-                    ))
-                })?;
-            (rec.clone(), format!("rev {}", rec.git_rev))
-        }
-        None => {
-            if earlier.is_empty() {
-                return Ok(format!(
-                    "bench diff: only one record in {}; nothing to compare yet\n",
-                    history.display()
-                ));
-            }
-            // Prefer the newest earlier record from the same host and
-            // machine size; fall back to the immediately preceding one.
-            let rec = earlier
-                .iter()
-                .rev()
-                .find(|r| {
-                    r.host_cpus == current.host_cpus
-                        && r.target == current.target
-                        && r.cores == current.cores
-                })
-                .unwrap_or(&earlier[earlier.len() - 1]);
-            (rec.clone(), format!("rev {}", rec.git_rev))
-        }
-    };
-
-    let mut out = format!(
-        "bench diff: current rev {} vs baseline {} (threshold {:.0}%, noise-aware)\n\
-         {:>11} {:>12} {:>12} {:>7} {:>8}  verdict\n",
-        current.git_rev,
-        baseline_label,
-        threshold * 100.0,
-        "sim_threads",
-        "base p50(s)",
-        "cur p50(s)",
-        "ratio",
-        "allowed",
-    );
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for cur in &current.entries {
-        let Some(base) = baseline
-            .entries
-            .iter()
-            .find(|b| b.sim_threads == cur.sim_threads)
-        else {
-            continue;
-        };
-        if base.p50 <= 0.0 {
-            continue;
-        }
-        compared += 1;
-        // The gate widens by the worse rep-to-rep spread of the two
-        // records: a wall-time delta inside observed measurement noise
-        // is never called a regression.
-        let noise = ((base.p95 - base.p50) / base.p50)
-            .max((cur.p95 - cur.p50) / cur.p50.max(1e-12))
-            .max(0.0);
-        let allowed = 1.0 + threshold + noise;
-        let ratio = cur.p50 / base.p50;
-        let regressed = ratio > allowed;
-        if regressed {
-            regressions += 1;
-        }
-        out.push_str(&format!(
-            "{:>11} {:>12.6} {:>12.6} {:>6.2}x {:>7.2}x  {}\n",
-            cur.sim_threads,
-            base.p50,
-            cur.p50,
-            ratio,
-            allowed,
-            if regressed { "REGRESSED" } else { "ok" }
-        ));
-    }
-    if compared == 0 {
-        return Err(CliError::Io(
-            "baseline and current records share no sim_threads entries — nothing comparable"
-                .to_owned(),
-        ));
-    }
-    if regressions > 0 {
-        out.push_str(&format!(
-            "{regressions} of {compared} thread count(s) regressed beyond threshold + noise\n"
-        ));
-        return Err(CliError::Regression(out));
-    }
-    out.push_str(&format!(
-        "no regression across {compared} thread count(s)\n"
-    ));
     Ok(out)
 }
 
@@ -2104,6 +1511,16 @@ mod tests {
     }
 
     #[test]
+    fn two_word_bench_is_an_unknown_command() {
+        // Speed is measured by `benchmark/`, not by the CLI: a two-word
+        // `bench ...` is neither `bench-table` nor a stray positional.
+        assert!(matches!(
+            run(&args(&["bench", "sim", "--cores", "4"])),
+            Err(CliError::UnknownCommand(_))
+        ));
+    }
+
+    #[test]
     fn help_and_unknown_command_list_every_subcommand() {
         let help = run(&args(&["help"])).unwrap();
         let unknown = run(&args(&["frobnicate"])).unwrap_err().to_string();
@@ -2130,8 +1547,6 @@ mod tests {
             ("predict", &["--bench", "no-such-bench"]),
             ("trace", &["--bench", "no-such-bench"]),
             ("bench-table", &["--budget", "not-a-number"]),
-            ("bench sim", &["--budget", "not-a-number"]),
-            ("bench diff", &["--results", "/nonexistent/sms-test"]),
             ("sweep", &[]),
             ("explore", &[]),
             ("machine show", &[]),
@@ -2996,195 +2411,5 @@ mod tests {
         .unwrap_err();
         assert!(conflict.to_string().contains("conflicts"), "{conflict}");
         let _ = std::fs::remove_dir_all(&results);
-    }
-
-    fn bench_sim_args<'a>(results: &'a str, out: &'a str) -> Vec<&'a str> {
-        vec![
-            "bench",
-            "sim",
-            "--cores",
-            "2",
-            "--budget",
-            "20000",
-            "--reps",
-            "1",
-            "--threads-list",
-            "1",
-            "--quantum",
-            "5000",
-            "--results",
-            results,
-            "--out",
-            out,
-        ]
-    }
-
-    #[test]
-    fn bench_sim_builds_a_trajectory_and_bench_diff_gates_on_the_ledger() {
-        let dir = std::env::temp_dir().join(format!("sms-cli-ledger-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let results = dir.join("results");
-        let artifact = dir.join("BENCH_sim.json");
-        let results_s = results.to_str().unwrap().to_owned();
-        let artifact_s = artifact.to_str().unwrap().to_owned();
-
-        // First run: fresh artifact (empty trajectory), one ledger line,
-        // and nothing to diff against yet.
-        let out1 = run(&args(&bench_sim_args(&results_s, &artifact_s))).unwrap();
-        assert!(out1.contains("ledger: appended"), "{out1}");
-        let v1: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
-        assert_eq!(v1["schema_version"].as_u64(), Some(2));
-        assert_eq!(v1["trajectory"].as_array().map(Vec::len), Some(0));
-        let lonely = run(&args(&["bench", "diff", "--results", &results_s])).unwrap();
-        assert!(lonely.contains("nothing to compare yet"), "{lonely}");
-
-        // Second run: the previous measurement folds into the trajectory
-        // and the diff against the (equal-speed-ish) baseline passes.
-        let out2 = run(&args(&bench_sim_args(&results_s, &artifact_s))).unwrap();
-        assert!(out2.contains("ledger: appended"), "{out2}");
-        let v2: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
-        assert_eq!(v2["trajectory"].as_array().map(Vec::len), Some(1));
-        let history = bench_history_path(&results_s);
-        assert_eq!(
-            std::fs::read_to_string(&history).unwrap().lines().count(),
-            2
-        );
-        // Same host, same machine, two honest measurements: a 15% + noise
-        // gate can still flake on a loaded CI box, so compare with a huge
-        // threshold here; the regression path below uses a 10x slowdown.
-        let ok = run(&args(&[
-            "bench",
-            "diff",
-            "--results",
-            &results_s,
-            "--threshold",
-            "9",
-        ]))
-        .unwrap();
-        assert!(ok.contains("no regression"), "{ok}");
-
-        // The committed artifact also works as an --against baseline.
-        let vs_file = run(&args(&[
-            "bench",
-            "diff",
-            "--results",
-            &results_s,
-            "--against",
-            &artifact_s,
-            "--threshold",
-            "9",
-        ]))
-        .unwrap();
-        assert!(vs_file.contains(&format!("file {artifact_s}")), "{vs_file}");
-
-        // Append a synthetic 10x-slower record: diff must exit non-zero.
-        let last = std::fs::read_to_string(&history)
-            .unwrap()
-            .lines()
-            .last()
-            .map(str::to_owned)
-            .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&last).unwrap();
-        let p50 = parsed["entries"][0]["p50_wall_seconds"].as_f64().unwrap();
-        let (cpus, target) = host_fingerprint();
-        let slow = format!(
-            "{{\"budget\":20000,\"cores\":2,\"entries\":[{{\"p50_wall_seconds\":{:.6},\
-             \"p95_wall_seconds\":{:.6},\"sim_threads\":1,\"speedup_vs_1_thread\":1.0}}],\
-             \"git_rev\":\"deadbeef0000\",\"host_cpus\":{cpus},\"quantum\":5000,\"reps\":1,\
-             \"schema_version\":{BENCH_HISTORY_SCHEMA_VERSION},\"seed\":43,\
-             \"target\":\"{target}\",\"unix_ms\":0}}",
-            p50 * 10.0,
-            p50 * 10.0,
-        );
-        append_history_line(&history, &slow).unwrap();
-        let regressed = run(&args(&["bench", "diff", "--results", &results_s])).unwrap_err();
-        match &regressed {
-            CliError::Regression(report) => {
-                assert!(report.contains("REGRESSED"), "{report}");
-                assert!(report.contains("deadbeef0000"), "{report}");
-            }
-            other => panic!("expected CliError::Regression, got {other:?}"),
-        }
-        // An explicit revision prefix resolves among earlier records:
-        // pinning the baseline to the honest first run still flags the
-        // synthetic slow record (now the newest) as a regression.
-        let first_line = std::fs::read_to_string(&history)
-            .unwrap()
-            .lines()
-            .next()
-            .map(str::to_owned)
-            .unwrap();
-        let first: serde_json::Value = serde_json::from_str(&first_line).unwrap();
-        let real_rev = first["git_rev"].as_str().unwrap().to_owned();
-        let prefix = &real_rev[..4.min(real_rev.len())];
-        let vs_rev = run(&args(&[
-            "bench",
-            "diff",
-            "--results",
-            &results_s,
-            "--against",
-            prefix,
-        ]))
-        .unwrap_err();
-        assert!(
-            matches!(vs_rev, CliError::Regression(_)),
-            "expected a regression against rev `{prefix}`: {vs_rev:?}"
-        );
-        // A prefix matching nothing is a plain error, not a regression.
-        let nope = run(&args(&[
-            "bench",
-            "diff",
-            "--results",
-            &results_s,
-            "--against",
-            "ffffffffffff",
-        ]))
-        .unwrap_err();
-        assert!(matches!(nope, CliError::Io(_)), "{nope:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn history_record_json_round_trips_through_the_parser() {
-        let rows = vec![
-            SimBenchRow {
-                sim_threads: 1,
-                p50: 0.5,
-                p95: 0.6,
-                speedup: 1.0,
-            },
-            SimBenchRow {
-                sim_threads: 4,
-                p50: 0.2,
-                p95: 0.25,
-                speedup: 2.5,
-            },
-        ];
-        let line = history_record_json(
-            "abc123def456",
-            &BenchRun {
-                cores: 8,
-                budget: 100_000,
-                quantum: 10_000,
-                reps: 3,
-                seed: 43,
-            },
-            &rows,
-        );
-        let v: serde_json::Value = serde_json::from_str(&line).unwrap();
-        let rec = parse_history_record(&v).unwrap();
-        assert_eq!(rec.git_rev, "abc123def456");
-        assert_eq!(rec.cores, 8);
-        assert_eq!(rec.entries.len(), 2);
-        assert_eq!(rec.entries[1].sim_threads, 4);
-        assert!((rec.entries[1].p50 - 0.2).abs() < 1e-9);
-        assert!((rec.entries[0].p95 - 0.6).abs() < 1e-9);
-        assert_eq!(
-            v["schema_version"].as_u64(),
-            Some(u64::from(BENCH_HISTORY_SCHEMA_VERSION))
-        );
     }
 }

@@ -11,10 +11,9 @@ fn main() {
     };
     match sms_cli::run(&args) {
         Ok(out) => println!("{out}"),
-        // A lint report or bench-diff comparison goes to stdout (CI
-        // pipes and archives it from there); the non-zero exit code
-        // alone signals the failure.
-        Err(sms_cli::CliError::Lint(report) | sms_cli::CliError::Regression(report)) => {
+        // A lint report goes to stdout (CI pipes and archives it from
+        // there); the non-zero exit code alone signals the failure.
+        Err(sms_cli::CliError::Lint(report)) => {
             print!("{report}");
             std::process::exit(1);
         }

@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::export::escape_json;
 use crate::registry::lock;
 
 /// Separator between path segments; the collapsed-stack convention.
@@ -356,9 +357,9 @@ impl PhaseProfile {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"count\":{},\"path\":{},\"self_nanos\":{},\"total_nanos\":{}}}",
+                "{{\"count\":{},\"path\":\"{}\",\"self_nanos\":{},\"total_nanos\":{}}}",
                 p.count,
-                json_string(&p.path),
+                escape_json(&p.path),
                 p.self_nanos,
                 p.total_nanos
             ));
@@ -370,26 +371,6 @@ impl PhaseProfile {
 
 /// Version of the [`PhaseProfile::to_json`] layout.
 pub const PROFILE_SCHEMA_VERSION: u32 = 1;
-
-/// Minimal JSON string escaping (phase paths are plain identifiers, but
-/// escape defensively).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 #[cfg(test)]
 mod tests {
