@@ -2,9 +2,9 @@
 //!
 //! [`fsck`] walks every artifact class under a result-cache directory —
 //! cache entries, leftover temp files, quarantine records, run manifests,
-//! timeline files, and plan journals — verifies each one (JSON shape, key
-//! against file stem, payload checksum), and removes what cannot be
-//! trusted. Cache entries are cheap to regenerate (`sms resume`
+//! timeline and profile files, and plan journals — verifies each one (JSON
+//! shape, key against file stem, payload checksum), and removes what
+//! cannot be trusted. Cache entries are cheap to regenerate (`sms resume`
 //! re-simulates evicted keys), so eviction is always safe; journals are
 //! *repaired* instead (bad lines dropped, good lines kept) because they
 //! carry resume state. Valid entries are never touched.
@@ -14,9 +14,9 @@ use std::path::{Path, PathBuf};
 use serde::Serialize;
 
 use crate::journal::{journal_dir, JournalLine};
+use crate::observe::{load_json, profiles_dir, timelines_dir, ProfileFile, TimelineFile};
 use crate::runner::{key_hash_hex, result_checksum, CacheEntry};
 use crate::telemetry::RunManifest;
-use crate::timeline::{timelines_dir, TimelineFile};
 
 /// What kind of damage a defective file exhibits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -117,7 +117,7 @@ impl FsckReport {
 
 /// Sorted `.json`-like files directly under `dir` with the given
 /// extension; an absent directory is an empty list.
-fn sorted_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
+pub(crate) fn sorted_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = match std::fs::read_dir(dir) {
         Ok(rd) => rd
             .flatten()
@@ -153,6 +153,17 @@ impl Scan {
             detail,
             action: FsckAction::Evicted,
         });
+    }
+
+    /// Load-or-evict every `.json` record of type `T` directly under `dir`.
+    fn records<T: serde::de::DeserializeOwned>(&mut self, dir: &Path) {
+        for path in sorted_files(dir, "json") {
+            self.scanned += 1;
+            match load_json::<T>(&path) {
+                Ok(_) => self.valid += 1,
+                Err(e) => self.evict(&path, DefectKind::BadRecord, e.to_string()),
+            }
+        }
     }
 }
 
@@ -269,22 +280,10 @@ pub fn fsck(cache_dir: &Path) -> std::io::Result<FsckReport> {
             Err((kind, detail)) => scan.evict(&path, kind, detail),
         }
     }
-    // Run manifests.
-    for path in sorted_files(&cache_dir.join("manifests"), "json") {
-        scan.scanned += 1;
-        match RunManifest::load(&path) {
-            Ok(_) => scan.valid += 1,
-            Err(e) => scan.evict(&path, DefectKind::BadRecord, e.to_string()),
-        }
-    }
-    // Timeline files.
-    for path in sorted_files(&timelines_dir(cache_dir), "json") {
-        scan.scanned += 1;
-        match TimelineFile::load(&path) {
-            Ok(_) => scan.valid += 1,
-            Err(e) => scan.evict(&path, DefectKind::BadRecord, e.to_string()),
-        }
-    }
+    // Run manifests and the per-run observation files.
+    scan.records::<RunManifest>(&cache_dir.join("manifests"));
+    scan.records::<TimelineFile>(&timelines_dir(cache_dir));
+    scan.records::<ProfileFile>(&profiles_dir(cache_dir));
     // Plan journals: repaired, not evicted — they carry resume state.
     for path in sorted_files(&journal_dir(cache_dir), "jsonl") {
         scan.scanned += 1;
@@ -482,8 +481,12 @@ mod tests {
         let tdir = dir.join("timelines");
         std::fs::create_dir_all(&tdir).unwrap();
         std::fs::write(tdir.join("bad.json"), b"{}").unwrap();
+        // A profile write torn mid-document, as a kill would leave it.
+        let pdir = dir.join("profiles");
+        std::fs::create_dir_all(&pdir).unwrap();
+        std::fs::write(pdir.join("torn.json"), b"{\"schema_version\": 1, \"pha").unwrap();
         let report = fsck(&dir).unwrap();
-        assert_eq!(report.defects.len(), 3, "{}", report.render());
+        assert_eq!(report.defects.len(), 4, "{}", report.render());
         assert!(report
             .defects
             .iter()

@@ -12,10 +12,10 @@
 //!   (`sms fsck`),
 //! * [`telemetry`] — per-run records, `sms-obs` counters, the JSON
 //!   run-manifest, and Chrome-trace flushing,
-//! * [`timeline`] — opt-in per-run epoch timelines written next to the
-//!   cache (`sms sweep --timelines`, rendered by `sms timeline`),
-//! * [`profile`] — opt-in per-run phase profiles written next to the
-//!   cache (`sms sweep --profile`), aggregated into the run-manifest,
+//! * [`observe`] — the one observed-run body: opt-in per-run epoch
+//!   timelines and phase profiles written next to the cache
+//!   (`sms sweep --timelines --profile`), the latter aggregated into the
+//!   run-manifest,
 //! * [`ctx`] — experiment context (env-var knobs, report emission),
 //! * [`experiments`] — one driver per table/figure,
 //! * [`table`] — text-table rendering.
@@ -38,11 +38,10 @@ pub mod ctx;
 pub mod experiments;
 pub mod fsck;
 pub mod journal;
-pub mod profile;
+pub mod observe;
 pub mod runner;
 pub mod table;
 pub mod telemetry;
-pub mod timeline;
 
 pub use ctx::{Ctx, Report};
 pub use fsck::{fsck, Defect, DefectKind, FsckAction, FsckReport};
@@ -50,9 +49,10 @@ pub use journal::{
     journal_path, replay, JournalLine, JournalReplay, PlanHeader, PlanJournal,
     JOURNAL_SCHEMA_VERSION,
 };
-pub use profile::{
-    execute_plan_with_profiles, phase_records, profile_run_fn, profiles_dir, records_to_profile,
-    PhaseStatRecord, ProfileFile, PROFILE_FILE_SCHEMA_VERSION,
+pub use observe::{
+    execute_plan_observed, observed_run, phase_records, profiles_dir, records_to_profile,
+    timelines_dir, Observe, Observed, PhaseStatRecord, ProfileFile, TimelineFile,
+    PROFILE_FILE_SCHEMA_VERSION, TIMELINE_SCHEMA_VERSION,
 };
 pub use runner::{
     cache_key, execute_plan, execute_plan_with, key_hash_hex, result_checksum, CachedSim,
@@ -60,8 +60,4 @@ pub use runner::{
 };
 pub use telemetry::{
     percentiles, write_trace, Percentiles, RunManifest, RunRecord, RunStatus, RunSummary,
-};
-pub use timeline::{
-    execute_plan_with_timelines, timeline_run_fn, timelines_dir, TimelineFile,
-    TIMELINE_SCHEMA_VERSION,
 };

@@ -31,7 +31,8 @@ use sms_workloads::mix::MixSpec;
 
 use crate::journal::{JournalLine, PlanJournal};
 use crate::telemetry::{
-    mix_label, write_manifest, write_trace, RunRecord, RunStatus, RunSummary, Telemetry,
+    mix_label, write_manifest, write_trace, RunManifest, RunRecord, RunStatus, RunSummary,
+    Telemetry,
 };
 
 /// 128-bit FNV-1a over a byte string.
@@ -659,6 +660,27 @@ pub fn execute_plan_with<F>(
 where
     F: Fn(&SystemConfig, &MixSpec, RunSpec) -> Result<SimResult, SimError> + Send + Sync + 'static,
 {
+    execute(cache, plan, spec, threads, label, opts, run_fn, |_| {})
+}
+
+/// The executor behind [`execute_plan_with`]; `amend` sees the finished
+/// manifest before its single write (how
+/// [`execute_plan_observed`](crate::observe::execute_plan_observed) embeds
+/// the aggregate profile).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute<F>(
+    cache: &CachedSim,
+    plan: &[(SystemConfig, MixSpec)],
+    spec: RunSpec,
+    threads: usize,
+    label: &str,
+    opts: ExecOptions,
+    run_fn: F,
+    amend: impl FnOnce(&mut RunManifest),
+) -> PlanSummary
+where
+    F: Fn(&SystemConfig, &MixSpec, RunSpec) -> Result<SimResult, SimError> + Send + Sync + 'static,
+{
     let run_fn = Arc::new(run_fn);
     let journal = match PlanJournal::open_append(cache.dir(), label) {
         Ok(journal) => Some(journal),
@@ -729,7 +751,8 @@ where
         // sms-lint: allow(E1): scope() only errs when a worker leaks a panic, and run_one catches them
         .expect("executor worker threads are panic-isolated");
     }
-    let manifest = telemetry.finish();
+    let mut manifest = telemetry.finish();
+    amend(&mut manifest);
     if let Some(journal) = &journal {
         journal.append_best_effort(&JournalLine::Done {
             simulated: manifest.simulated,

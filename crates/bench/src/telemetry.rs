@@ -186,7 +186,7 @@ pub struct RunManifest {
     /// Aggregate phase profile across the runs simulated this invocation
     /// (absent in pre-v4 manifests and when profiling was not enabled).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub profile: Option<Vec<crate::profile::PhaseStatRecord>>,
+    pub profile: Option<Vec<crate::observe::PhaseStatRecord>>,
 }
 
 impl RunManifest {
@@ -196,9 +196,7 @@ impl RunManifest {
     ///
     /// Returns an error when the file is unreadable or not a manifest.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        crate::observe::load_json(path.as_ref())
     }
 
     /// Compact human-readable rendering (CLI `sms manifest`).
@@ -423,8 +421,8 @@ impl Telemetry {
             failed_keys,
             runs,
             registry: serde_json::from_str(&self.registry.to_json()).ok(),
-            // Populated after the fact by `execute_plan_with_profiles`;
-            // the executor itself runs detached.
+            // Filled in before the write by `execute_plan_observed`; the
+            // plain executor runs detached.
             profile: None,
         }
     }

@@ -30,12 +30,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use sms_bench::telemetry::mix_label;
 use sms_bench::{
-    cache_key, execute_plan, execute_plan_with_profiles, execute_plan_with_timelines, fsck,
-    journal_path, key_hash_hex, profiles_dir, replay, timelines_dir, CachedSim, JournalLine,
-    PlanHeader, PlanJournal, QuarantineRecord, RunManifest, TimelineFile, JOURNAL_SCHEMA_VERSION,
-    TIMELINE_SCHEMA_VERSION,
+    execute_plan_observed, fsck, journal_path, observed_run, profiles_dir, replay, timelines_dir,
+    CachedSim, JournalLine, Observe, PlanHeader, PlanJournal, QuarantineRecord, RunManifest,
+    TimelineFile, JOURNAL_SCHEMA_VERSION,
 };
 use sms_core::artifact::train_artifact;
 use sms_core::pipeline::{homogeneous_plan, mean_bandwidth, mean_ipc, DirectSim, ExperimentConfig};
@@ -50,7 +48,6 @@ use sms_ml::fit::CurveModel;
 use sms_serve::{models_dir, serve, ModelRegistry, ServerConfig, MAX_DEADLINE_MS, MIN_DEADLINE_MS};
 use sms_sim::config::SystemConfig;
 use sms_sim::system::{MulticoreSystem, RunSpec};
-use sms_sim::{RecordingSink, SimTimeline};
 use sms_workloads::mix::MixSpec;
 use sms_workloads::spec::{by_name, suite};
 use sms_workloads::trace_io::RecordedTrace;
@@ -305,10 +302,10 @@ USAGE:
       --timelines, every simulated run also leaves a per-epoch timeline
       under DIR/cache/timelines/. With --profile, every simulated run
       leaves a phase profile under DIR/cache/profiles/ and the sweep's
-      aggregate profile is embedded in the manifest (mutually exclusive
-      with --timelines). With --spans, executor spans are
-      recorded and flushed as Chrome trace-event JSON under
-      DIR/cache/traces/ (open at chrome://tracing or Perfetto). The plan
+      aggregate profile is embedded in the manifest. With --spans,
+      executor spans are recorded and flushed as Chrome trace-event JSON
+      under DIR/cache/traces/ (open at chrome://tracing or Perfetto); the
+      three flags combine freely. The plan
       parameters and every completed run are journaled (fsync'd) under
       DIR/cache/journal/LABEL.jsonl, so a killed sweep is resumable.
       --threads T parallelizes across runs; --sim-threads K additionally
@@ -343,18 +340,21 @@ USAGE:
       design points the [grid] section expands to.
 
   sms resume --label L [--results DIR] [--threads T] [--sim-threads K]
+             [--profile] [--spans]
       Continue an interrupted `sms sweep` or `sms explore`: replay the
       label's plan journal, rebuild the identical plan from its recorded
       header, and re-execute it. Cached runs are skipped and quarantined
       runs are retried, so repeating resume after crashes converges on
       the same final cache (and, for explore, a bit-identical manifest)
-      as one uninterrupted run.
+      as one uninterrupted run. A sweep journaled with --timelines
+      resumes with timelines; --profile and --spans apply to the runs
+      this invocation simulates.
 
   sms fsck [--results DIR]
       Verify every result-cache file under DIR/cache: cache entries
       (JSON shape, key-hash filename, payload checksum), quarantine
-      records, manifests, timelines, leftover temp files, and plan
-      journals. Defective files are evicted (journals: repaired in
+      records, manifests, timelines, profiles, leftover temp files, and
+      plan journals. Defective files are evicted (journals: repaired in
       place) and reported; valid entries are never touched.
 
   sms quarantine [--results DIR] [--clear]
@@ -516,38 +516,25 @@ fn simulate_setup(args: &Args) -> Result<(SystemConfig, MixSpec, RunSpec, String
 
 fn cmd_simulate(args: &Args) -> Result<String, CliError> {
     let (mut machine, mix, spec, notes) = simulate_setup(args)?;
-    let cores = machine.num_cores;
     machine.sim_threads = args.get_u32("sim-threads", 1)?;
-    let mut sys = MulticoreSystem::new(machine.clone(), mix.sources())
-        .map_err(|e| CliError::Sim(e.to_string()))?;
+    let out_path = args.options.get("timeline-out");
+    let want = Observe {
+        samples: out_path.is_some(),
+        profile: false,
+    };
+    let seen =
+        observed_run(&machine, &mix, spec, want).map_err(|e| CliError::Sim(e.to_string()))?;
+    let r = seen.result;
     let mut timeline_note = String::new();
-    let r = if let Some(out_path) = args.options.get("timeline-out") {
-        let mut sink = RecordingSink::new();
-        let r = sys
-            .run_with_sink(spec, &mut sink)
-            .map_err(|e| CliError::Sim(e.to_string()))?;
-        let file = TimelineFile {
-            schema_version: TIMELINE_SCHEMA_VERSION,
-            key_hash: key_hash_hex(&cache_key(&machine, &mix, spec)),
-            mix: mix_label(&mix),
-            cores,
-            timeline: SimTimeline {
-                sync_quantum: machine.sync_quantum,
-                num_cores: machine.num_cores,
-                samples: sink.into_samples(),
-            },
-            registry: serde_json::from_str(&sms_obs::registry().to_json()).ok(),
-        };
+    if let (Some(out_path), Some(samples)) = (out_path, seen.samples) {
+        let file = TimelineFile::new(&machine, &mix, spec, samples);
         file.save(out_path)
             .map_err(|e| CliError::Io(e.to_string()))?;
         timeline_note = format!(
             "\ntimeline: {} epochs written to {out_path} (render with `sms timeline --path {out_path}`)",
             file.timeline.samples.len()
         );
-        r
-    } else {
-        sys.run(spec).map_err(|e| CliError::Sim(e.to_string()))?
-    };
+    }
 
     if args.flag("json") {
         return serde_json::to_string_pretty(&r).map_err(|e| CliError::Io(e.to_string()));
@@ -561,18 +548,19 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
 fn cmd_profile(args: &Args) -> Result<String, CliError> {
     let (mut machine, mix, spec, notes) = simulate_setup(args)?;
     machine.sim_threads = args.get_u32("sim-threads", 1)?;
-    let profiler = sms_obs::Profiler::new();
-    let mut sys = MulticoreSystem::new(machine.clone(), mix.sources())
-        .map_err(|e| CliError::Sim(e.to_string()))?;
-    sys.attach_profiler(&profiler);
-    // Wall time around the whole run (warm-up included) so the coverage
-    // line compares the profile against what a stopwatch would see. The
-    // CLI is not a deterministic crate (lint rule D1 does not apply);
-    // the clock never feeds simulated state.
+    let want = Observe {
+        samples: false,
+        profile: true,
+    };
+    // Wall time around the whole run (set-up and warm-up included) so the
+    // coverage line compares the profile against what a stopwatch would
+    // see. The CLI is not a deterministic crate (lint rule D1 does not
+    // apply); the clock never feeds simulated state.
     let wall = std::time::Instant::now();
-    let r = sys.run(spec).map_err(|e| CliError::Sim(e.to_string()))?;
+    let seen =
+        observed_run(&machine, &mix, spec, want).map_err(|e| CliError::Sim(e.to_string()))?;
     let wall_seconds = wall.elapsed().as_secs_f64();
-    let profile = profiler.snapshot();
+    let (r, profile) = (seen.result, seen.profile.unwrap_or_default());
 
     let mut flame_note = String::new();
     if let Some(path) = args.options.get("flame") {
@@ -825,24 +813,11 @@ fn run_sweep(p: &SweepParams) -> Result<String, CliError> {
     if p.spans {
         sms_obs::tracer().set_enabled(true);
     }
-    if p.timelines && p.profile {
-        return Err(CliError::Spec(
-            "--timelines conflicts with --profile (each installs its own run body); \
-             pass one at a time"
-                .to_owned(),
-        ));
-    }
-    let (summary, profile) = if p.profile {
-        let (s, prof) = execute_plan_with_profiles(&cache, &plan, spec, p.threads, &p.label);
-        (s, Some(prof))
-    } else if p.timelines {
-        (
-            execute_plan_with_timelines(&cache, &plan, spec, p.threads, &p.label),
-            None,
-        )
-    } else {
-        (execute_plan(&cache, &plan, spec, p.threads, &p.label), None)
+    let want = Observe {
+        samples: p.timelines,
+        profile: p.profile,
     };
+    let summary = execute_plan_observed(&cache, &plan, spec, p.threads, &p.label, want);
 
     let mut out = format!(
         "sweep `{}`: {} runs ({} cached, {} simulated, {} quarantined, {} retries)\n\
@@ -871,8 +846,8 @@ fn run_sweep(p: &SweepParams) -> Result<String, CliError> {
             timelines_dir(cache.dir()).display()
         ));
     }
-    if let Some(prof) = &profile {
-        if prof.is_empty() {
+    if p.profile {
+        if summary.simulated == 0 {
             out.push_str(
                 "profiles: no new phase samples (every run came from the cache; \
                  only simulated runs are profiled)\n",
@@ -2135,9 +2110,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_timelines_writes_per_run_files() {
+    fn timelines_sweep_resumed_with_profile_writes_both_kinds() {
         let results = std::env::temp_dir().join(format!("sms-cli-sweep-tl-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&results);
+        let dir = results.to_str().unwrap();
         let out = run(&args(&[
             "sweep",
             "--bench",
@@ -2147,23 +2123,51 @@ mod tests {
             "--budget",
             "20000",
             "--results",
-            results.to_str().unwrap(),
+            dir,
             "--label",
             "cli-tl",
             "--timelines",
         ]))
         .unwrap();
         assert!(out.contains("timelines:"), "{out}");
-        let tdir = results.join("cache/timelines");
-        let files: Vec<_> = std::fs::read_dir(&tdir).unwrap().flatten().collect();
-        assert_eq!(files.len(), 2, "one timeline per simulated run");
-        let rendered = run(&args(&[
-            "timeline",
-            "--path",
-            files[0].path().to_str().unwrap(),
+        let cache = results.join("cache");
+        let names = |sub: &str| -> Vec<std::ffi::OsString> {
+            let mut names: Vec<_> = std::fs::read_dir(cache.join(sub))
+                .unwrap()
+                .flatten()
+                .map(|e| e.file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let timelines = names("timelines");
+        assert_eq!(timelines.len(), 2, "one timeline per simulated run");
+        assert!(!cache.join("profiles").exists());
+        let one = cache.join("timelines").join(&timelines[0]);
+        let rendered = run(&args(&["timeline", "--path", one.to_str().unwrap()])).unwrap();
+        assert!(rendered.contains("epoch"), "{rendered}");
+
+        // Lose one run (cache entry and timeline), then resume with
+        // --profile. Regression: the journaled `timelines: true` used to
+        // collide with --profile ("conflicts") and the resume died.
+        std::fs::remove_file(cache.join(&timelines[0])).unwrap();
+        std::fs::remove_file(one).unwrap();
+        let out = run(&args(&[
+            "resume",
+            "--results",
+            dir,
+            "--label",
+            "cli-tl",
+            "--profile",
         ]))
         .unwrap();
-        assert!(rendered.contains("epoch"), "{rendered}");
+        assert!(out.contains("1 cached, 1 simulated"), "{out}");
+        assert_eq!(names("timelines"), timelines, "one timeline per run again");
+        assert_eq!(
+            names("profiles"),
+            [timelines[0].clone()],
+            "only the re-simulated run is profiled"
+        );
         let _ = std::fs::remove_dir_all(&results);
     }
 
@@ -2371,45 +2375,54 @@ mod tests {
     fn sweep_with_profile_writes_files_and_embeds_the_aggregate() {
         let results = std::env::temp_dir().join(format!("sms-cli-sweep-pr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&results);
-        let out = run(&args(&[
-            "sweep",
-            "--bench",
-            "leela_r",
-            "--target-cores",
-            "2",
-            "--budget",
-            "20000",
-            "--results",
-            results.to_str().unwrap(),
-            "--label",
-            "cli-prof",
-            "--profile",
-        ]))
-        .unwrap();
+        let sweep = || {
+            run(&args(&[
+                "sweep",
+                "--bench",
+                "leela_r",
+                "--target-cores",
+                "2",
+                "--budget",
+                "20000",
+                "--results",
+                results.to_str().unwrap(),
+                "--label",
+                "cli-prof",
+                "--timelines",
+                "--profile",
+            ]))
+            .unwrap()
+        };
+        // The two flags compose: one timeline and one profile per run.
+        let out = sweep();
+        assert!(out.contains("timelines:"), "{out}");
         assert!(out.contains("profiles:"), "{out}");
+        let tdir = results.join("cache/timelines");
         let pdir = results.join("cache/profiles");
-        let files: Vec<_> = std::fs::read_dir(&pdir).unwrap().flatten().collect();
-        assert_eq!(files.len(), 2, "one profile per simulated run: {out}");
-        let manifest =
-            std::fs::read_to_string(results.join("cache/manifests/cli-prof.json")).unwrap();
-        assert!(manifest.contains("\"profile\""), "{manifest}");
-        assert!(manifest.contains("sim.run"), "{manifest}");
+        assert_eq!(std::fs::read_dir(&tdir).unwrap().count(), 2, "{out}");
+        let mut merged = sms_obs::PhaseProfile::default();
+        for entry in std::fs::read_dir(&pdir).unwrap().flatten() {
+            assert!(tdir.join(entry.file_name()).exists(), "same run, same stem");
+            let file = sms_bench::ProfileFile::load(entry.path()).unwrap();
+            merged.merge(&sms_bench::records_to_profile(&file.phases));
+        }
+        let sim_run = merged.phases.iter().find(|p| p.path == "sim.run");
+        assert_eq!(sim_run.map(|p| p.count), Some(2), "one profile per run");
+        let manifest_path = results.join("cache/manifests/cli-prof.json");
+        let embedded = RunManifest::load(&manifest_path).unwrap().profile;
+        assert_eq!(
+            embedded.map(|records| sms_bench::records_to_profile(&records)),
+            Some(merged),
+            "the manifest embeds the merge of the per-run profiles"
+        );
 
-        // --timelines and --profile install different run bodies and
-        // cannot combine.
-        let conflict = run(&args(&[
-            "sweep",
-            "--bench",
-            "leela_r",
-            "--target-cores",
-            "2",
-            "--results",
-            results.to_str().unwrap(),
-            "--timelines",
-            "--profile",
-        ]))
-        .unwrap_err();
-        assert!(conflict.to_string().contains("conflicts"), "{conflict}");
+        // All-cached: nothing is simulated, so nothing is observed.
+        std::fs::remove_dir_all(&tdir).unwrap();
+        std::fs::remove_dir_all(&pdir).unwrap();
+        let again = sweep();
+        assert!(again.contains("no new phase samples"), "{again}");
+        assert!(!tdir.exists() && !pdir.exists(), "{again}");
+        assert!(RunManifest::load(&manifest_path).unwrap().profile.is_none());
         let _ = std::fs::remove_dir_all(&results);
     }
 }

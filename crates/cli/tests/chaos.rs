@@ -227,3 +227,22 @@ fn watchdog_quarantines_a_hung_run_and_resume_heals_it() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn observed_sweep_flushes_its_manifest_exactly_once() {
+    let dir = tmp("flush-once");
+
+    // A second `manifest.flush` hit would fail: the sweep must not need
+    // one, even with every observation on — the aggregate profile is in
+    // the manifest's first and only write.
+    let mut args = sweep_args("leela_r", &dir, "once", 1);
+    args.extend(["--timelines", "--profile"].map(String::from));
+    let (out, stderr) = run_ok(sms().args(args).env("SMS_FAULTS", "manifest.flush=err@2"));
+    assert!(!out.contains("manifest: not written"), "{out}");
+    assert!(!stderr.contains("cannot write manifest"), "{stderr}");
+    let manifest = std::fs::read_to_string(dir.join("cache/manifests/once.json")).unwrap();
+    assert!(manifest.contains("\"profile\""), "{manifest}");
+    assert!(manifest.contains("sim.run"), "{manifest}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use sms_bench::{
-    execute_plan, execute_plan_with_profiles, profiles_dir, records_to_profile, CachedSim,
-    JournalLine, PhaseStatRecord, PlanHeader, PlanJournal, ProfileFile, JOURNAL_SCHEMA_VERSION,
+    execute_plan_observed, profiles_dir, records_to_profile, CachedSim, JournalLine, Observe,
+    PhaseStatRecord, PlanHeader, PlanJournal, ProfileFile, JOURNAL_SCHEMA_VERSION,
 };
 use sms_ml::{Dataset, ForestParams, Matrix, RandomForest, Regressor, TreeParams};
 use sms_sim::system::RunSpec;
@@ -460,13 +460,12 @@ pub fn run_explore(
 
     // Summaries are advisory at every call site; quarantines surface as
     // NaN throughput when outcomes are collected below.
+    let want = Observe {
+        samples: false,
+        profile: params.profile,
+    };
     let exec = |plan: &[(sms_sim::config::SystemConfig, MixSpec)]| {
-        if params.profile {
-            let _ =
-                execute_plan_with_profiles(&cache, plan, run_spec, params.threads, &params.label);
-        } else {
-            let _ = execute_plan(&cache, plan, run_spec, params.threads, &params.label);
-        }
+        let _ = execute_plan_observed(&cache, plan, run_spec, params.threads, &params.label, want);
     };
 
     let order = shuffled_indices(points.len(), resolved.prune.seed);

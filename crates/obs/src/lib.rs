@@ -9,12 +9,9 @@
 //! * bounded-ring span tracing with an RAII guard API and Chrome
 //!   `trace_event` JSON export, loadable in Perfetto or
 //!   `chrome://tracing` ([`trace`]),
-//! * the [`TimelineSink`] trait plus [`NullSink`]/[`RecordingSink`] for
-//!   time-resolved sample streams that cost ~nothing when disabled
-//!   ([`timeline`]),
-//! * scoped phase timers ([`Profiler`]/[`NullProfiler`]) aggregating
-//!   into a per-run [`PhaseProfile`] with text-table, collapsed-stack
-//!   and canonical-JSON rendering ([`prof`]).
+//! * scoped phase timers ([`Profiler`]) aggregating into a per-run
+//!   [`PhaseProfile`] with text-table, collapsed-stack and
+//!   canonical-JSON rendering ([`prof`]).
 //!
 //! # Example
 //!
@@ -48,15 +45,13 @@
 mod export;
 pub mod prof;
 pub mod registry;
-pub mod timeline;
 pub mod trace;
 
-pub use prof::{NullProfiler, Phase, PhaseGuard, PhaseProfile, PhaseStat, Profiler};
+pub use prof::{Phase, PhaseGuard, PhaseProfile, PhaseStat, Profiler};
 pub use registry::{
     bucket_bound, Counter, Family, Gauge, Histogram, HistogramSnapshot, Metric, MetricKind,
     Registry, HISTOGRAM_BOUNDS,
 };
-pub use timeline::{NullSink, RecordingSink, TimelineSink};
 pub use trace::{Span, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 
 /// The process-wide metrics registry (shorthand for

@@ -6,10 +6,9 @@
 //! monotonic nanoseconds to its phase when dropped. The design follows
 //! the same rule as the rest of `sms-obs`: **the monotonic clock is read
 //! only when a profiler is attached**. Consumers hold an
-//! `Option<Arc<Phase>>`-shaped handle (see [`NullProfiler`] for the
-//! detached end of the API); the detached path is a single branch with no
-//! clock read, no atomics, and no allocation, so attaching a profiler
-//! cannot perturb deterministic simulation state.
+//! `Option<Arc<Phase>>`-shaped handle; the detached path is a single
+//! branch with no clock read, no atomics, and no allocation, so attaching
+//! a profiler cannot perturb deterministic simulation state.
 //!
 //! [`Profiler::snapshot`] folds the accumulated counters into a
 //! [`PhaseProfile`]: per-phase count, total nanoseconds, and *self*
@@ -111,29 +110,6 @@ impl Drop for PhaseGuard<'_> {
         self.phase.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 }
-
-/// The detached end of the API: a profiler whose scopes compile to
-/// no-ops — no clock read, no atomics. Code paths that accept either a
-/// real or a null profiler stay monomorphic and branch-free.
-///
-/// ```
-/// use sms_obs::prof::NullProfiler;
-/// let _scope = NullProfiler.scope(); // does nothing, costs nothing
-/// ```
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProfiler;
-
-impl NullProfiler {
-    /// A scope that records nothing.
-    #[inline]
-    pub fn scope(&self) -> NullGuard {
-        NullGuard
-    }
-}
-
-/// The guard type of [`NullProfiler::scope`]; dropping it does nothing.
-#[derive(Debug)]
-pub struct NullGuard;
 
 /// Interns [`Phase`] handles and snapshots them into a [`PhaseProfile`].
 ///

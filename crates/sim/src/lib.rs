@@ -72,5 +72,5 @@ pub use error::{ConfigError, SimError};
 pub use profile::SimProf;
 pub use stats::{CoreResult, SimResult};
 pub use system::{MulticoreSystem, RunSpec};
-pub use timeline::{EpochSample, NullSink, RecordingSink, SimTimeline, TimelineSink};
+pub use timeline::{EpochSample, SimTimeline};
 pub use trace::{InstructionSource, MicroOp};

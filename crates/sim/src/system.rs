@@ -34,7 +34,7 @@ use crate::noc::NocStats;
 use crate::profile::SimProf;
 use crate::shard::{DeferredOp, ShardBackend, WindowShard};
 use crate::stats::{CoreResult, SimResult};
-use crate::timeline::{EpochSample, NullSink, TimelineSink};
+use crate::timeline::EpochSample;
 use crate::trace::InstructionSource;
 
 /// Warm-up and measurement lengths for a run.
@@ -73,60 +73,6 @@ struct CoreCtx {
     finished: bool,
 }
 
-/// One sample of a run timeline, taken at a synchronization boundary.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct TimelineSample {
-    /// Global cycle of the sample.
-    pub cycle: u64,
-    /// Cumulative retired instructions per core.
-    pub instructions: Vec<u64>,
-    /// Cumulative DRAM bytes transferred.
-    pub dram_bytes: u64,
-}
-
-/// A sampled time series of a measured run (see
-/// [`MulticoreSystem::run_with_timeline`]).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Timeline {
-    /// Requested sampling interval in cycles (samples land on the first
-    /// quantum boundary at or after each interval mark).
-    pub interval_cycles: u64,
-    /// Samples in time order.
-    pub samples: Vec<TimelineSample>,
-}
-
-impl Timeline {
-    /// Per-interval aggregate IPC between consecutive samples:
-    /// `(cycle, ipc)` pairs.
-    pub fn interval_ipc(&self) -> Vec<(u64, f64)> {
-        self.samples
-            .windows(2)
-            .map(|w| {
-                let dc = (w[1].cycle - w[0].cycle).max(1);
-                let di: u64 = w[1]
-                    .instructions
-                    .iter()
-                    .zip(&w[0].instructions)
-                    .map(|(b, a)| b - a)
-                    .sum();
-                (w[1].cycle, di as f64 / dc as f64)
-            })
-            .collect()
-    }
-
-    /// Per-interval aggregate DRAM bandwidth in GB/s between samples.
-    pub fn interval_bandwidth(&self) -> Vec<(u64, f64)> {
-        self.samples
-            .windows(2)
-            .map(|w| {
-                let dc = (w[1].cycle - w[0].cycle).max(1) as f64;
-                let db = (w[1].dram_bytes - w[0].dram_bytes) as f64;
-                (w[1].cycle, db / dc * crate::config::CORE_FREQ_GHZ)
-            })
-            .collect()
-    }
-}
-
 /// A configured multicore system ready to simulate.
 pub struct MulticoreSystem {
     cfg: SystemConfig,
@@ -134,8 +80,6 @@ pub struct MulticoreSystem {
     shards: Vec<WindowShard>,
     uncore: Uncore,
     global_cycle: u64,
-    /// Active timeline recorder: `(interval, next mark, samples)`.
-    timeline: Option<(u64, u64, Vec<TimelineSample>)>,
     /// Phase-profiling handles; detached unless
     /// [`MulticoreSystem::attach_profiler`] was called. Timing only —
     /// never consulted by the simulation, so results are bit-identical
@@ -196,7 +140,6 @@ impl MulticoreSystem {
             shards,
             uncore,
             global_cycle: 0,
-            timeline: None,
             prof: SimProf::detached(),
         })
     }
@@ -215,15 +158,7 @@ impl MulticoreSystem {
     /// and the epoch-sample stream are bit-identical with or without a
     /// profiler attached, at any `sim_threads`.
     pub fn attach_profiler(&mut self, profiler: &sms_obs::Profiler) {
-        self.set_prof(SimProf::attach(profiler));
-    }
-
-    /// Detach any attached profiler (scopes become no-ops again).
-    pub fn detach_profiler(&mut self) {
-        self.set_prof(SimProf::detached());
-    }
-
-    fn set_prof(&mut self, prof: SimProf) {
+        let prof = SimProf::attach(profiler);
         self.uncore.set_prof(prof.clone());
         for ctx in &mut self.cores {
             ctx.privs.set_prof(prof.clone());
@@ -235,10 +170,10 @@ impl MulticoreSystem {
     }
 
     /// Execute until the first core retires `budget` instructions (or all
-    /// cores do, whichever happens first per the stop rule), emitting one
-    /// [`EpochSample`] per synchronization window into `sink` when it is
-    /// enabled. Sampling only reads simulator state, so results are
-    /// identical whether or not a recording sink is attached.
+    /// cores do, whichever happens first per the stop rule), appending one
+    /// [`EpochSample`] per synchronization window to `samples` when given.
+    /// Sampling only reads simulator state, so results are identical
+    /// whether or not samples are requested.
     ///
     /// Every window forks the cores against a frozen uncore snapshot
     /// (possibly on `sim_threads` scoped host threads) and merges their
@@ -247,7 +182,7 @@ impl MulticoreSystem {
     fn run_phase(
         &mut self,
         budget: u64,
-        sink: &mut dyn TimelineSink<EpochSample>,
+        samples: Option<&mut Vec<EpochSample>>,
     ) -> Result<(), SimError> {
         if budget == 0 {
             return Ok(());
@@ -258,38 +193,21 @@ impl MulticoreSystem {
             shards,
             uncore,
             global_cycle,
-            timeline,
             prof,
         } = self;
         let prof = prof.clone();
         let n = cores.len();
-        // Baselines so samples read relative to this phase's start; a
-        // disabled sink skips all sampling work.
-        let sampling = sink.enabled();
-        let (cycle0, noc0, llc0, dram_bytes0, controllers0) = if sampling {
-            (
-                *global_cycle,
-                uncore.noc.stats(),
-                uncore.llc.stats(),
-                uncore.dram.total_bytes(),
-                uncore.dram.controller_stats(),
-            )
-        } else {
-            (0, NocStats::default(), CacheStats::default(), 0, Vec::new())
-        };
         let mut driver = PhaseDriver {
             quantum: cfg.sync_quantum,
-            sampling,
-            cycle0,
-            noc0,
-            llc0,
-            dram_bytes0,
-            controllers0,
-            epoch: 0,
+            // Baselines so samples read relative to this phase's start.
+            cycle0: *global_cycle,
+            noc0: uncore.noc.stats(),
+            llc0: uncore.llc.stats(),
+            dram_bytes0: uncore.dram.total_bytes(),
+            controllers0: uncore.dram.controller_stats(),
             window_index: 0,
-            sink,
+            samples,
             global_cycle,
-            timeline,
             prof: prof.clone(),
         };
         let threads = (cfg.sim_threads as usize).clamp(1, n);
@@ -403,35 +321,6 @@ impl MulticoreSystem {
         outcome
     }
 
-    /// Like [`MulticoreSystem::run`], additionally sampling cumulative
-    /// per-core progress and DRAM traffic every `interval_cycles` of the
-    /// measured phase (rounded up to synchronization boundaries).
-    ///
-    /// # Errors
-    ///
-    /// As [`MulticoreSystem::run`]; additionally rejects a zero interval.
-    pub fn run_with_timeline(
-        &mut self,
-        spec: RunSpec,
-        interval_cycles: u64,
-    ) -> Result<(SimResult, Timeline), SimError> {
-        if interval_cycles == 0 {
-            return Err(SimError::EmptyBudget);
-        }
-        self.timeline = Some((interval_cycles, interval_cycles, Vec::new()));
-        let result = self.run(spec);
-        // sms-lint: allow(E1): set two lines above, and run() never clears it
-        let (interval, _, samples) = self.timeline.take().expect("set above");
-        let result = result?;
-        Ok((
-            result,
-            Timeline {
-                interval_cycles: interval,
-                samples,
-            },
-        ))
-    }
-
     /// Run the warm-up phase then the measured phase, returning results
     /// for the measured phase only.
     ///
@@ -440,22 +329,22 @@ impl MulticoreSystem {
     /// Returns [`SimError::EmptyBudget`] if the measured instruction count
     /// is zero.
     pub fn run(&mut self, spec: RunSpec) -> Result<SimResult, SimError> {
-        self.run_with_sink(spec, &mut NullSink)
+        self.run_sampled(spec, None)
     }
 
-    /// Like [`MulticoreSystem::run`], additionally emitting one
+    /// Like [`MulticoreSystem::run`], additionally appending one
     /// [`EpochSample`] per synchronization window of the *measured* phase
-    /// into `sink` (the warm-up is never sampled). With a [`NullSink`]
+    /// to `samples` when given (the warm-up is never sampled). With `None`
     /// this is exactly `run`; the `SimResult` is identical either way
     /// because sampling only reads simulator state.
     ///
     /// # Errors
     ///
     /// As [`MulticoreSystem::run`].
-    pub fn run_with_sink(
+    pub fn run_sampled(
         &mut self,
         spec: RunSpec,
-        sink: &mut dyn TimelineSink<EpochSample>,
+        samples: Option<&mut Vec<EpochSample>>,
     ) -> Result<SimResult, SimError> {
         if spec.measure_instructions == 0 {
             return Err(SimError::EmptyBudget);
@@ -469,7 +358,7 @@ impl MulticoreSystem {
 
         // Warm-up: run, then reset all measurement state.
         if spec.warmup_instructions > 0 {
-            self.run_phase(spec.warmup_instructions, &mut NullSink)?;
+            self.run_phase(spec.warmup_instructions, None)?;
             for ctx in &mut self.cores {
                 ctx.model.reset_counters();
                 ctx.retired = 0;
@@ -482,10 +371,6 @@ impl MulticoreSystem {
             self.uncore.dram.rebase(self.global_cycle);
             self.uncore.noc.rebase(self.global_cycle);
             self.global_cycle = 0;
-            if let Some((interval, next_mark, samples)) = &mut self.timeline {
-                *next_mark = *interval;
-                samples.clear();
-            }
         }
 
         // Snapshot cumulative uncore stats so the measured phase reports
@@ -496,7 +381,7 @@ impl MulticoreSystem {
 
         // sms-lint: allow(D1): host wall-time telemetry only; never feeds simulated state
         let wall = Instant::now();
-        self.run_phase(spec.measure_instructions, sink)?;
+        self.run_phase(spec.measure_instructions, samples)?;
         let host_seconds = wall.elapsed().as_secs_f64();
 
         let elapsed_cycles = self
@@ -572,21 +457,19 @@ fn run_core_window(
 }
 
 /// Master-side state for one `run_phase` call: the sampling baselines, the
-/// sink, and the window counter that drives the merge ordering. Shared by
-/// the sequential and parallel paths so they execute the same barrier code.
+/// caller's sample buffer, and the window counter that drives the merge
+/// ordering and numbers the samples. Shared by the sequential and parallel
+/// paths so they execute the same barrier code.
 struct PhaseDriver<'a> {
     quantum: u64,
-    sampling: bool,
     cycle0: u64,
     noc0: NocStats,
     llc0: CacheStats,
     dram_bytes0: u64,
     controllers0: Vec<ControllerStats>,
-    epoch: u64,
     window_index: u64,
-    sink: &'a mut dyn TimelineSink<EpochSample>,
+    samples: Option<&'a mut Vec<EpochSample>>,
     global_cycle: &'a mut u64,
-    timeline: &'a mut Option<(u64, u64, Vec<TimelineSample>)>,
     prof: SimProf,
 }
 
@@ -660,25 +543,12 @@ impl PhaseDriver<'_> {
             }
         }
         *self.global_cycle = quantum_end;
-        self.window_index += 1;
-        if let Some((interval, next_mark, samples)) = self.timeline.as_mut() {
-            if quantum_end >= *next_mark {
-                samples.push(TimelineSample {
-                    cycle: quantum_end,
-                    instructions: pairs.iter().map(|(c, _)| c.retired).collect(),
-                    dram_bytes: uncore.dram.total_bytes(),
-                });
-                while *next_mark <= quantum_end {
-                    *next_mark += *interval;
-                }
-            }
-        }
-        if self.sampling {
+        if let Some(samples) = self.samples.as_deref_mut() {
             let noc = uncore.noc.stats();
             let llc = uncore.llc.stats();
             let controllers = uncore.dram.controller_stats();
-            self.sink.record(EpochSample {
-                epoch: self.epoch,
+            samples.push(EpochSample {
+                epoch: self.window_index,
                 cycle: quantum_end - self.cycle0,
                 instructions: pairs.iter().map(|(c, _)| c.retired).collect(),
                 core_cycles: pairs
@@ -702,8 +572,8 @@ impl PhaseDriver<'_> {
                     .map(|(c, c0)| c.total_queue_wait - c0.total_queue_wait)
                     .collect(),
             });
-            self.epoch += 1;
         }
+        self.window_index += 1;
         Ok(pairs.iter().any(|(c, _)| c.finished))
     }
 }
@@ -861,73 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_samples_measured_phase() {
-        let cfg = small_cfg(1);
-        let mut sys = MulticoreSystem::new(cfg, vec![compute_source("calc")]).unwrap();
-        let (r, tl) = sys
-            .run_with_timeline(
-                RunSpec {
-                    warmup_instructions: 5_000,
-                    measure_instructions: 50_000,
-                },
-                2_000,
-            )
-            .unwrap();
-        assert!(!tl.samples.is_empty());
-        // Samples are strictly increasing in time and monotone in progress.
-        for w in tl.samples.windows(2) {
-            assert!(w[1].cycle > w[0].cycle);
-            assert!(w[1].instructions[0] >= w[0].instructions[0]);
-            assert!(w[1].dram_bytes >= w[0].dram_bytes);
-        }
-        // Warm-up must not appear: the first sample's instruction count is
-        // part of the measured 50k, and the last does not exceed it.
-        assert!(tl.samples.last().unwrap().instructions[0] <= r.cores[0].instructions);
-        // Interval IPC is near the aggregate IPC for a steady workload.
-        let ipcs = tl.interval_ipc();
-        assert!(!ipcs.is_empty());
-        for (_, ipc) in &ipcs {
-            assert!((ipc - r.cores[0].ipc).abs() < 0.5, "interval ipc {ipc}");
-        }
-    }
-
-    #[test]
-    fn timeline_rejects_zero_interval() {
-        let cfg = small_cfg(1);
-        let mut sys = MulticoreSystem::new(cfg, vec![compute_source("calc")]).unwrap();
-        assert!(sys
-            .run_with_timeline(
-                RunSpec {
-                    warmup_instructions: 0,
-                    measure_instructions: 1_000,
-                },
-                0,
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn timeline_bandwidth_series_reflects_traffic() {
-        let cfg = small_cfg(1);
-        let mut sys = MulticoreSystem::new(cfg, vec![memory_source("mem", 1 << 16)]).unwrap();
-        let (_, tl) = sys
-            .run_with_timeline(
-                RunSpec {
-                    warmup_instructions: 5_000,
-                    measure_instructions: 50_000,
-                },
-                5_000,
-            )
-            .unwrap();
-        let bw = tl.interval_bandwidth();
-        assert!(!bw.is_empty());
-        assert!(
-            bw.iter().any(|(_, b)| *b > 0.1),
-            "memory workload moves data"
-        );
-    }
-
-    #[test]
     fn epoch_sink_samples_every_sync_window() {
         let cfg = small_cfg(2);
         let quantum = cfg.sync_quantum;
@@ -936,13 +739,12 @@ mod tests {
             vec![memory_source("a", 1 << 12), memory_source("b", 1 << 14)],
         )
         .unwrap();
-        let mut sink = crate::timeline::RecordingSink::new();
+        let mut samples = Vec::new();
         let spec = RunSpec {
             warmup_instructions: 5_000,
             measure_instructions: 50_000,
         };
-        let r = sys.run_with_sink(spec, &mut sink).unwrap();
-        let samples = sink.into_samples();
+        let r = sys.run_sampled(spec, Some(&mut samples)).unwrap();
         assert!(!samples.is_empty());
         // One sample per sync window: the k-th barrier lands at
         // (k+1) * quantum cycles from measure start.
@@ -985,15 +787,15 @@ mod tests {
             .unwrap()
         };
         let plain = build().run(spec).unwrap();
-        let mut sink = crate::timeline::RecordingSink::new();
-        let recorded = build().run_with_sink(spec, &mut sink).unwrap();
+        let mut samples = Vec::new();
+        let recorded = build().run_sampled(spec, Some(&mut samples)).unwrap();
         // Bit-identical apart from host wall time: sampling is read-only.
         let strip = |mut r: SimResult| {
             r.host_seconds = 0.0;
             r
         };
         assert_eq!(strip(plain), strip(recorded));
-        assert!(!sink.is_empty());
+        assert!(!samples.is_empty());
     }
 
     #[test]
@@ -1020,14 +822,14 @@ mod tests {
                 r
             };
 
-            let mut plain_sink = crate::timeline::RecordingSink::new();
-            let plain = build().run_with_sink(spec, &mut plain_sink).unwrap();
+            let mut plain_samples = Vec::new();
+            let plain = build().run_sampled(spec, Some(&mut plain_samples)).unwrap();
 
             let profiler = sms_obs::Profiler::new();
             let mut sys = build();
             sys.attach_profiler(&profiler);
-            let mut prof_sink = crate::timeline::RecordingSink::new();
-            let profiled = sys.run_with_sink(spec, &mut prof_sink).unwrap();
+            let mut prof_samples = Vec::new();
+            let profiled = sys.run_sampled(spec, Some(&mut prof_samples)).unwrap();
 
             assert_eq!(
                 strip(plain),
@@ -1035,8 +837,7 @@ mod tests {
                 "SimResult must not depend on profiling (sim_threads={sim_threads})"
             );
             assert_eq!(
-                plain_sink.into_samples(),
-                prof_sink.into_samples(),
+                plain_samples, prof_samples,
                 "epoch stream must not depend on profiling (sim_threads={sim_threads})"
             );
 
@@ -1103,17 +904,16 @@ mod tests {
     fn epoch_sink_never_samples_warmup() {
         let cfg = small_cfg(1);
         let mut sys = MulticoreSystem::new(cfg, vec![compute_source("calc")]).unwrap();
-        let mut sink = crate::timeline::RecordingSink::new();
+        let mut samples = Vec::new();
         let r = sys
-            .run_with_sink(
+            .run_sampled(
                 RunSpec {
                     warmup_instructions: 40_000,
                     measure_instructions: 10_000,
                 },
-                &mut sink,
+                Some(&mut samples),
             )
             .unwrap();
-        let samples = sink.into_samples();
         // Cumulative instruction counts stay within the measured budget
         // even though warm-up retired 4x as much.
         assert!(samples

@@ -1,19 +1,17 @@
 //! Epoch-resolved simulation timelines.
 //!
 //! Every synchronization window ("epoch") of the measured phase the run
-//! loop can emit one [`EpochSample`] — cumulative per-core progress plus
-//! LLC / NoC / DRAM state, all relative to the start of the measured
-//! phase — through any [`TimelineSink`]. With the default
-//! [`NullSink`] the loop skips sample construction entirely, so a
-//! non-recording run pays one virtual `enabled()` call per quantum.
+//! loop can append one [`EpochSample`] — cumulative per-core progress
+//! plus LLC / NoC / DRAM state, all relative to the start of the measured
+//! phase — to a caller's `Vec`
+//! ([`MulticoreSystem::run_sampled`](crate::system::MulticoreSystem::run_sampled)).
+//! A plain `run` passes none and skips sample construction entirely.
 //!
 //! [`SimTimeline`] wraps a recorded sample stream with enough metadata
 //! to interpret it and derives the per-epoch rate series (IPC, LLC hit
 //! rate, DRAM bandwidth, queue delay) that `sms timeline` renders.
 
 use serde::{Deserialize, Serialize};
-
-pub use sms_obs::{NullSink, RecordingSink, TimelineSink};
 
 use crate::config::CORE_FREQ_GHZ;
 

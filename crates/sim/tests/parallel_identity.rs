@@ -11,7 +11,7 @@
 use sms_sim::config::SystemConfig;
 use sms_sim::system::{MulticoreSystem, RunSpec};
 use sms_sim::trace::{InstructionSource, MicroOp, VecSource};
-use sms_sim::{EpochSample, RecordingSink, SimResult};
+use sms_sim::{EpochSample, SimResult};
 
 fn cfg(cores: u32) -> SystemConfig {
     let mut cfg = SystemConfig::target_32core();
@@ -67,18 +67,15 @@ const SPEC: RunSpec = RunSpec {
 
 /// Run at the given thread count and return the result (wall-clock field
 /// zeroed — host time legitimately differs per run) plus the epoch
-/// stream (empty when `with_sink` is false).
-fn run_at(cores: u32, threads: u32, with_sink: bool) -> (SimResult, Vec<EpochSample>) {
+/// stream (empty when `sampled` is false).
+fn run_at(cores: u32, threads: u32, sampled: bool) -> (SimResult, Vec<EpochSample>) {
     let mut machine = cfg(cores);
     machine.sim_threads = threads;
     let mut sys = MulticoreSystem::new(machine, sources(cores)).unwrap();
-    let (mut r, samples) = if with_sink {
-        let mut sink = RecordingSink::new();
-        let r = sys.run_with_sink(SPEC, &mut sink).unwrap();
-        (r, sink.into_samples())
-    } else {
-        (sys.run(SPEC).unwrap(), Vec::new())
-    };
+    let mut samples = Vec::new();
+    let mut r = sys
+        .run_sampled(SPEC, sampled.then_some(&mut samples))
+        .unwrap();
     r.host_seconds = 0.0;
     (r, samples)
 }
@@ -111,11 +108,7 @@ fn parallel_runs_are_bit_identical_with_sink() {
     );
     for threads in [2u32, 8] {
         let parallel = run_at(8, threads, true);
-        assert_identical(
-            &baseline,
-            &parallel,
-            &format!("{threads} threads, sink attached"),
-        );
+        assert_identical(&baseline, &parallel, &format!("{threads} threads, sampled"));
     }
 }
 
@@ -124,20 +117,24 @@ fn parallel_runs_are_bit_identical_without_sink() {
     let baseline = run_at(8, 1, false);
     for threads in [2u32, 8] {
         let parallel = run_at(8, threads, false);
-        assert_identical(&baseline, &parallel, &format!("{threads} threads, no sink"));
+        assert_identical(
+            &baseline,
+            &parallel,
+            &format!("{threads} threads, unsampled"),
+        );
     }
 }
 
 #[test]
 fn sink_attachment_does_not_perturb_results() {
-    // The epoch sink is observation only: attaching it must not change
-    // the simulation outcome at any thread count.
+    // Epoch sampling is observation only: requesting samples must not
+    // change the simulation outcome at any thread count.
     for threads in [1u32, 2, 8] {
         let with = run_at(8, threads, true);
         let without = run_at(8, threads, false);
         assert_eq!(
             with.0, without.0,
-            "sink attachment changed the result at {threads} threads"
+            "sampling changed the result at {threads} threads"
         );
     }
 }

@@ -85,12 +85,12 @@ fn sweep_with_spans_and_timelines_leaves_full_observability_artifacts() {
     assert!(rendered.contains("epoch"), "{rendered}");
     assert!(rendered.contains("IPC"), "{rendered}");
 
-    // The v3 manifest embeds the executor's registry snapshot.
+    // The manifest embeds the executor's registry snapshot (since v3).
     let manifest: serde_json::Value = serde_json::from_str(
         &std::fs::read_to_string(results.join("cache/manifests/obs-e2e.json")).unwrap(),
     )
     .unwrap();
-    assert_eq!(manifest["schema_version"], 3);
+    assert_eq!(manifest["schema_version"], 4);
     let registry = manifest["registry"]
         .as_object()
         .expect("registry snapshot present");
