@@ -361,7 +361,7 @@ fn ambient_fault_schedule_keeps_the_server_available() {
     let addr = server.addr;
 
     // `artifact.load` faults can park the artifact past boot; the
-    // acceptor's periodic re-probe must absolve it without a restart.
+    // re-probe thread must absolve it without a restart.
     let ready_by = Instant::now() + Duration::from_secs(30);
     loop {
         let health = http(addr, "GET", "/healthz", &[], "");

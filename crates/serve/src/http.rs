@@ -243,28 +243,29 @@ impl Response {
     }
 
     /// Serialize the response to `writer` with `Connection: close`
-    /// semantics (the server handles one request per connection).
+    /// semantics (the server handles one request per connection). Head
+    /// and body leave in a single write: on a `TCP_NODELAY` socket two
+    /// writes would be two segments.
     ///
     /// # Errors
     ///
     /// Propagates socket write failures.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut wire = Vec::with_capacity(128 + self.body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
             self.body.len()
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        writer.write_all(&wire)?;
         writer.flush()
     }
 }

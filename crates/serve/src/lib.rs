@@ -25,8 +25,8 @@
 //!   degraded-mode fallback.
 //! - [`metrics`] — `sms-obs`-registry-backed counters, histograms, and
 //!   latency percentiles for `/metrics` and `/metrics.json`.
-//! - [`server`] — acceptor + worker pool wiring, batching, deadlines,
-//!   shutdown.
+//! - [`server`] — blocking acceptor, reused connection handlers and
+//!   worker pool wiring, batching, deadlines, ordered shutdown.
 //!
 //! Endpoints: `POST /predict`, `GET /models`, `GET /healthz`,
 //! `GET /metrics` (Prometheus text exposition), `GET /metrics.json`

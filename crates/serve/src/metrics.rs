@@ -12,7 +12,7 @@
 //! registry histogram (`sms_serve_predict_latency_micros`) carries the
 //! full latency distribution for Prometheus scrapers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,7 +57,7 @@ pub struct ServerMetrics {
     /// tests can assert on it without decoding buckets.
     // sms-lint: atomic(counter): observation tally, test/export reads only
     latency_count: AtomicU64,
-    latencies: Mutex<Vec<f64>>,
+    latencies: Mutex<VecDeque<f64>>,
 }
 
 /// Point-in-time snapshot of the collectors, the body of
@@ -219,7 +219,7 @@ impl ServerMetrics {
             ),
             latency_count: AtomicU64::new(0),
             registry,
-            latencies: Mutex::new(Vec::with_capacity(LATENCY_WINDOW)),
+            latencies: Mutex::new(VecDeque::with_capacity(LATENCY_WINDOW)),
         }
     }
 
@@ -321,9 +321,11 @@ impl ServerMetrics {
         self.breaker_transitions.with(&[to]).inc();
     }
 
-    /// Update the in-flight-connections gauge.
-    pub fn set_inflight(&self, n: usize) {
-        self.inflight_connections.set(n as f64);
+    /// Move the in-flight-connections gauge by `delta`: +1 when a
+    /// connection is admitted, -1 once it is answered or queued. Deltas
+    /// rather than levels, because the acceptor and the handlers race.
+    pub fn add_inflight(&self, delta: i32) {
+        self.inflight_connections.add(f64::from(delta));
     }
 
     /// Mirror the registry's monotonic self-healing totals into the
@@ -348,10 +350,9 @@ impl ServerMetrics {
         self.latency_count.fetch_add(1, Ordering::Relaxed);
         let mut window = lock(&self.latencies);
         if window.len() >= LATENCY_WINDOW {
-            let drop = window.len() + 1 - LATENCY_WINDOW;
-            window.drain(..drop);
+            window.pop_front();
         }
-        window.push(seconds);
+        window.push_back(seconds);
     }
 
     /// Number of latencies observed (not bounded by the window).
@@ -375,7 +376,7 @@ impl ServerMetrics {
         let hits = self.cache_requests.with(&["hit"]).get();
         let misses = self.cache_requests.with(&["miss"]).get();
         let lookups = hits + misses;
-        let latency_seconds = percentiles(&lock(&self.latencies));
+        let latency_seconds = percentiles(lock(&self.latencies).make_contiguous());
         MetricsSnapshot {
             uptime_seconds: self.started.elapsed().as_secs_f64(),
             requests_total: self.requests_total.get(),
@@ -505,7 +506,8 @@ mod tests {
         m.record_accept_error();
         m.record_breaker_transition("open");
         m.record_breaker_transition("closed");
-        m.set_inflight(5);
+        m.add_inflight(7);
+        m.add_inflight(-2);
         m.sync_artifact_health(2, 1);
         // Sync is monotonic: replaying older totals never decrements.
         m.sync_artifact_health(1, 0);

@@ -17,9 +17,9 @@
 //!   `<dir>/quarantine/` with a `<file>.reason.json` record — the PR 1 /
 //!   PR 4 cache idiom — so one corrupt artifact can never take the
 //!   service down or be re-parsed on every scan. Periodic re-probes
-//!   ([`ModelRegistry::maybe_reprobe`], driven by the server's acceptor)
-//!   retry quarantined files; a repaired file is absolved automatically:
-//!   moved back, re-registered, its reason record deleted.
+//!   ([`ModelRegistry::maybe_reprobe`], driven by the server's re-probe
+//!   thread) retry quarantined files; a repaired file is absolved
+//!   automatically: moved back, re-registered, its reason record deleted.
 //!
 //! Quarantine and absolution counts surface as
 //! `sms_serve_artifact_quarantined_total` /

@@ -1,18 +1,19 @@
 //! End-to-end test of the prediction service over real TCP: train an
 //! artifact, boot the server on an ephemeral port, and exercise every
 //! endpoint with a plain `TcpStream` HTTP client — including cache hits,
-//! micro-batching, load shedding, and graceful shutdown.
+//! micro-batching, load shedding, connection refusal, the header-read
+//! deadline, the latency floor, and graceful shutdown.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use sms_core::artifact::{train_artifact, ModelArtifact};
+use sms_core::artifact::{to_canonical_json, train_artifact, ModelArtifact};
 use sms_core::pipeline::{DirectSim, ExperimentConfig};
 use sms_core::predictor::{MlKind, ModelParams};
 use sms_core::scaling::target_config;
 use sms_ml::fit::CurveModel;
-use sms_serve::{serve, ModelRegistry, ServerConfig};
+use sms_serve::{serve, ModelRegistry, PredictResponse, ServerConfig, ServerHandle};
 use sms_sim::system::RunSpec;
 use sms_workloads::spec::by_name;
 
@@ -77,16 +78,26 @@ fn http_with_headers(
     extra: &[(&str, &str)],
     body: &str,
 ) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut stream = connect(addr);
     let mut request = format!("{method} {path} HTTP/1.1\r\nhost: e2e\r\n");
     for (name, value) in extra {
         request.push_str(&format!("{name}: {value}\r\n"));
     }
     request.push_str(&format!("content-length: {}\r\n\r\n{body}", body.len()));
     stream.write_all(request.as_bytes()).unwrap();
+    read_reply(&mut stream)
+}
+
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+/// Read until the server closes, then split the response.
+fn read_reply(stream: &mut TcpStream) -> Reply {
     let mut text = String::new();
     stream.read_to_string(&mut text).expect("read response");
 
@@ -406,4 +417,207 @@ fn same_model_requests_batch_behind_a_slow_one() {
     );
     assert_eq!(m["shed_total"].as_u64().unwrap(), 0);
     handle.shutdown_and_join();
+}
+
+fn boot(registry: ModelRegistry, config: ServerConfig) -> ServerHandle {
+    serve(
+        registry,
+        ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            ..config
+        },
+    )
+    .expect("server boots")
+}
+
+/// Poll the in-flight gauge until it reads `level`: the only way a client
+/// can tell that the server has accepted (or let go of) its connection.
+fn await_inflight(handle: &ServerHandle, level: u64) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while handle.metrics().snapshot(0).inflight_connections != level {
+        assert!(
+            Instant::now() < give_up,
+            "inflight_connections never reached {level}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn graceful_drain_answers_a_request_accepted_before_shutdown() {
+    let artifact = trained("drain");
+    let registry = ModelRegistry::in_memory();
+    registry.insert(artifact.clone());
+    let handle = boot(registry, ServerConfig::default());
+
+    // Half a request is on the wire and its connection accepted when
+    // shutdown begins.
+    let body = predict_body("drain", &["leela_r", "gcc_r"], 8, 0);
+    let request = format!(
+        "POST /predict HTTP/1.1\r\nhost: e2e\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (first, rest) = request.split_at(request.len() / 2);
+    let mut stream = connect(handle.addr());
+    stream.write_all(first.as_bytes()).unwrap();
+    await_inflight(&handle, 1);
+    handle.begin_shutdown();
+    let joiner = std::thread::spawn(move || handle.join());
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        !joiner.is_finished(),
+        "join() returned while an accepted connection was still unanswered"
+    );
+
+    // The rest arrives after every thread has seen the flag; the request
+    // is still owed its answer, and join() waits for it.
+    stream.write_all(rest.as_bytes()).unwrap();
+    let reply = read_reply(&mut stream);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let mix = vec!["leela_r".to_owned(), "gcc_r".to_owned()];
+    let expected = to_canonical_json(&PredictResponse {
+        model: "drain".to_owned(),
+        degraded: false,
+        prediction: artifact.predict_mix(&mix, Some(8)).unwrap(),
+    })
+    .unwrap();
+    assert_eq!(reply.body, expected);
+    joiner.join().unwrap();
+}
+
+#[test]
+fn refusals_never_block_the_acceptor() {
+    let handle = boot(
+        ModelRegistry::in_memory(),
+        ServerConfig {
+            max_inflight: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    // Two silent clients pin both connection slots.
+    let pinned = [connect(addr), connect(addr)];
+    await_inflight(&handle, 2);
+
+    // Twenty more, just as silent and never hanging up: each is refused
+    // at once, and none makes the next one wait out a lingering close.
+    let started = Instant::now();
+    let mut refused = Vec::new();
+    for i in 0..20 {
+        let mut stream = connect(addr);
+        let reply = read_reply(&mut stream);
+        assert_eq!(reply.status, 503, "connection {i}: {}", reply.body);
+        assert_eq!(reply.header("retry-after"), Some("1"), "connection {i}");
+        refused.push(stream);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "20 refusals took {took:?}: the acceptor waited on refused clients"
+    );
+    assert_eq!(handle.metrics().snapshot(0).shed_total, 20);
+
+    // Once the slots are released the server serves again.
+    drop(pinned);
+    await_inflight(&handle, 0);
+    assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
+    drop(refused);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn trickled_header_is_cut_off_with_504_and_pins_nobody_else() {
+    // A 300 ms request timeout is also the header-read deadline and the
+    // socket read timeout.
+    let handle = boot(
+        ModelRegistry::in_memory(),
+        ServerConfig {
+            request_timeout_ms: 300,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    // Half a header line, then a byte every 100 ms — each read succeeds
+    // within the socket timeout, but the line completes past the deadline.
+    let slow = std::thread::spawn(move || {
+        let mut stream = connect(addr);
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nhost: e2e\r\nx-slow: ")
+            .unwrap();
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(100));
+            stream.write_all(b"z").unwrap();
+        }
+        stream.write_all(b"\r\n\r\n").unwrap();
+        read_reply(&mut stream)
+    });
+
+    // Meanwhile a well-formed request is answered promptly.
+    std::thread::sleep(Duration::from_millis(150));
+    let started = Instant::now();
+    let health = http(addr, "GET", "/healthz", "");
+    let took = started.elapsed();
+    assert_eq!(health.status, 200);
+    assert!(
+        took < Duration::from_millis(100),
+        "a concurrent request took {took:?} behind a slow client"
+    );
+
+    let cut_off = slow.join().unwrap();
+    assert_eq!(cut_off.status, 504, "{}", cut_off.body);
+    assert_eq!(cut_off.header("x-sms-deadline-stage"), Some("header"));
+    let m = handle.metrics().snapshot(0);
+    assert_eq!(m.deadline_exceeded["header"], 1);
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn cache_hits_answer_in_under_two_milliseconds() {
+    let registry = ModelRegistry::in_memory();
+    registry.insert(trained("floor"));
+    let handle = boot(registry, ServerConfig::default());
+    let addr = handle.addr();
+
+    let body = predict_body("floor", &["leela_r", "xz_r"], 8, 0);
+    assert_eq!(http(addr, "POST", "/predict", &body).status, 200);
+    let mut took: Vec<Duration> = (0..50)
+        .map(|_| {
+            let started = Instant::now();
+            let reply = http(addr, "POST", "/predict", &body);
+            let took = started.elapsed();
+            assert_eq!(reply.header("x-cache"), Some("hit"));
+            took
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median cache hit took {median:?}: something on the path is waiting on a clock"
+    );
+    handle.shutdown_and_join();
+}
+
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = serve(
+            ModelRegistry::in_memory(),
+            ServerConfig {
+                addr: addr.to_owned(),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server boots");
+        let started = Instant::now();
+        handle.shutdown_and_join();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "an idle server bound to {addr} took {took:?} to shut down"
+        );
+    }
 }
